@@ -1,13 +1,16 @@
 """Architecture units: attention block, dilated residual blocks, stage, fusion.
 
 Each unit registers its parameters in a shared ParamStore under a dotted name
-prefix.  Forward/backward passes run over a mini-batch given as a list of
-(C, T_i) tensors processed in lockstep: every layer maps the items
-independently except batch normalization, which in train mode concatenates
-the batch along time so its statistics cover batch x time per channel.  A
-cache is a dict filled by a training forward and consumed exactly once by the
-matching backward; eval forwards skip caching and are safe to run
-concurrently on frozen parameters.
+prefix.  A mini-batch is packed: one (C, sum T_i) array holding the items side
+by side along time, plus ``bounds`` = (0, T_1, T_1 + T_2, ..., sum T_i).
+Pointwise convolutions, PReLU, batch normalization and the sigmoid run once
+over the packed array; batch normalization in train mode therefore takes its
+statistics over batch x time per channel.  The dilated depthwise convolution
+never reads across an item boundary, and attention and global layer
+normalization run per item, so no other layer couples the items.  A batch of
+one is the plain (C, T) array.  A cache is a dict filled by a training forward
+and consumed exactly once by the matching backward; eval forwards skip
+caching and are safe to run concurrently on frozen parameters.
 """
 
 from __future__ import annotations
@@ -35,17 +38,6 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
     return rng.uniform(-a, a, size=shape)
 
 
-def _concat(xs: list[Array]) -> Array:
-    return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
-
-
-def _split_like(cat: Array, xs: list[Array]) -> list[Array]:
-    if len(xs) == 1:
-        return [cat]
-    splits = np.cumsum([x.shape[1] for x in xs[:-1]])
-    return np.split(cat, splits, axis=1)
-
-
 class Conv1x1:
     """Pointwise channel-mixing convolution with bias."""
 
@@ -55,40 +47,34 @@ class Conv1x1:
         )
         self.bias = store.register(f"{name}.bias", np.zeros(c_out))
 
-    def forward(self, xs: list[Array]) -> list[Array]:
-        return [nn.pointwise_conv(x, self.weight.value, self.bias.value) for x in xs]
+    def forward(self, x: Array) -> Array:
+        return nn.pointwise_conv(x, self.weight.value, self.bias.value)
 
-    def backward(self, dys: list[Array], xs: list[Array]) -> list[Array]:
-        dxs = []
-        for dy, x in zip(dys, xs):
-            dx, dw, db = nn.pointwise_conv_backward(dy, x, self.weight.value)
-            self.weight.grad += dw
-            self.bias.grad += db
-            dxs.append(dx)
-        return dxs
+    def backward(self, dy: Array, x: Array) -> Array:
+        dx, dw, db = nn.pointwise_conv_backward(dy, x, self.weight.value)
+        self.weight.grad += dw
+        self.bias.grad += db
+        return dx
 
 
 class PReLULayer:
     def __init__(self, store: ParamStore, name: str, channels: int):
         self.slope = store.register(f"{name}.slope", np.full(channels, 0.25))
 
-    def forward(self, xs: list[Array]) -> list[Array]:
-        return [nn.prelu(x, self.slope.value) for x in xs]
+    def forward(self, x: Array) -> Array:
+        return nn.prelu(x, self.slope.value)
 
-    def backward(self, dys: list[Array], xs: list[Array]) -> list[Array]:
-        dxs = []
-        for dy, x in zip(dys, xs):
-            dx, dslope = nn.prelu_backward(dy, x, self.slope.value)
-            self.slope.grad += dslope
-            dxs.append(dx)
-        return dxs
+    def backward(self, dy: Array, x: Array) -> Array:
+        dx, dslope = nn.prelu_backward(dy, x, self.slope.value)
+        self.slope.grad += dslope
+        return dx
 
 
 class BatchNormLayer:
     """Batch normalization over batch x time per channel.
 
-    The mini-batch is concatenated along time for the statistics, so a batch
-    of one falls back to plain per-utterance time statistics.
+    Train statistics cover every column of the packed batch, so a batch of
+    one falls back to plain per-utterance time statistics.
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int):
@@ -99,34 +85,16 @@ class BatchNormLayer:
             store.register_buffer(f"{name}.running_var", np.ones(channels)),
         )
 
-    def forward(self, xs: list[Array], mode: str) -> list[Array]:
-        if mode == "train":
-            cat = nn.batch_norm(
-                _concat(xs), self.gamma.value, self.beta.value, self.state, "train"
-            )
-            return _split_like(cat, xs)
-        return [
-            nn.batch_norm(x, self.gamma.value, self.beta.value, self.state, "eval")
-            for x in xs
-        ]
+    def forward(self, x: Array, mode: str) -> Array:
+        return nn.batch_norm(x, self.gamma.value, self.beta.value, self.state, mode)
 
-    def backward(self, dys: list[Array], xs: list[Array], mode: str) -> list[Array]:
-        if mode == "train":
-            dx_cat, dgamma, dbeta = nn.batch_norm_backward(
-                _concat(dys), _concat(xs), self.gamma.value, self.state, "train"
-            )
-            self.gamma.grad += dgamma
-            self.beta.grad += dbeta
-            return _split_like(dx_cat, xs)
-        dxs = []
-        for dy, x in zip(dys, xs):
-            dx, dgamma, dbeta = nn.batch_norm_backward(
-                dy, x, self.gamma.value, self.state, "eval"
-            )
-            self.gamma.grad += dgamma
-            self.beta.grad += dbeta
-            dxs.append(dx)
-        return dxs
+    def backward(self, dy: Array, x: Array, mode: str) -> Array:
+        dx, dgamma, dbeta = nn.batch_norm_backward(
+            dy, x, self.gamma.value, self.state, mode
+        )
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        return dx
 
 
 class GlobalNormLayer:
@@ -136,19 +104,18 @@ class GlobalNormLayer:
         self.gamma = store.register(f"{name}.gamma", np.ones((rows, 1)))
         self.beta = store.register(f"{name}.beta", np.zeros((rows, 1)))
 
-    def forward(self, xs: list[Array]) -> list[Array]:
-        return [
-            nn.global_layer_norm(x, self.gamma.value, self.beta.value) for x in xs
-        ]
+    def forward(self, x: Array, bounds) -> Array:
+        return nn.global_layer_norm(
+            x, self.gamma.value, self.beta.value, bounds=bounds
+        )
 
-    def backward(self, dys: list[Array], xs: list[Array]) -> list[Array]:
-        dxs = []
-        for dy, x in zip(dys, xs):
-            dx, dgamma, dbeta = nn.global_layer_norm_backward(dy, x, self.gamma.value)
-            self.gamma.grad += dgamma
-            self.beta.grad += dbeta
-            dxs.append(dx)
-        return dxs
+    def backward(self, dy: Array, x: Array, bounds) -> Array:
+        dx, dgamma, dbeta = nn.global_layer_norm_backward(
+            dy, x, self.gamma.value, bounds=bounds
+        )
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        return dx
 
 
 class SABlock:
@@ -157,7 +124,9 @@ class SABlock:
     Query/key/value come from three pointwise convolutions; attention weights
     are a column-softmax of Q K^T / sqrt(F); the attended value is blended
     back as ``x + delta * A`` with delta starting at zero, so a fresh block
-    is exactly the identity.  Attention never crosses batch items.
+    is exactly the identity.  Attention never crosses batch items: Q K^T
+    contracts time, so it is formed per item, and the items' (F, F) weight
+    matrices sit side by side for one column softmax.
     """
 
     def __init__(self, store: ParamStore, name: str, f: int, rng):
@@ -166,62 +135,53 @@ class SABlock:
         self.wv = Conv1x1(store, f"{name}.wv", f, f, rng)
         self.delta = store.register(f"{name}.delta", np.zeros(1))
 
-    def forward(self, xs: list[Array], cache: dict | None = None) -> list[Array]:
-        qs = self.wq.forward(xs)
-        ks = self.wk.forward(xs)
-        vs = self.wv.forward(xs)
-        outs, whats, attns = [], [], []
-        for x, q, k, v in zip(xs, qs, ks, vs):
-            scale = 1.0 / math.sqrt(x.shape[0])
-            w = nn.matmul(q, k.T) * scale
-            what = nn.softmax_columns(w)
-            a = nn.matmul(what, v)
-            whats.append(what)
-            attns.append(a)
-            outs.append(x + self.delta.value[0] * a)
+    def forward(self, x: Array, bounds, cache: dict | None = None) -> Array:
+        q = self.wq.forward(x)
+        k = self.wk.forward(x)
+        v = self.wv.forward(x)
+        f = x.shape[0]
+        scale = 1.0 / math.sqrt(f)
+        items = nn.segments(bounds, x.shape[1])
+        what = nn.softmax_columns(np.concatenate(
+            [nn.matmul(q[:, lo:hi], k[:, lo:hi].T) * scale for lo, hi in items],
+            axis=1,
+        ))
+        a = np.empty_like(x)
+        for i, (lo, hi) in enumerate(items):
+            a[:, lo:hi] = nn.matmul(what[:, i * f : (i + 1) * f], v[:, lo:hi])
         if cache is not None:
-            cache.update(xs=xs, qs=qs, ks=ks, vs=vs, whats=whats, attns=attns)
-        return outs
+            cache.update(x=x, bounds=bounds, q=q, k=k, v=v, what=what, a=a)
+        return x + self.delta.value[0] * a
 
-    def backward(self, dys: list[Array], cache: dict) -> list[Array]:
-        xs = cache["xs"]
-        dqs, dks, dvs, dxs = [], [], [], []
-        for dy, x, q, k, v, what, a in zip(
-            dys, xs, cache["qs"], cache["ks"], cache["vs"],
-            cache["whats"], cache["attns"],
-        ):
-            scale = 1.0 / math.sqrt(x.shape[0])
-            self.delta.grad += (dy * a).sum()
-            da = self.delta.value[0] * dy
-            dwhat, dv = nn.matmul_backward(da, what, v)
-            dw = nn.softmax_columns_backward(dwhat, what)
-            dqs.append(dw @ k * scale)
-            dks.append(dw.T @ q * scale)
-            dvs.append(dv)
-            dxs.append(dy.copy())
-        for dx, dxq, dxk, dxv in zip(
-            dxs,
-            self.wq.backward(dqs, xs),
-            self.wk.backward(dks, xs),
-            self.wv.backward(dvs, xs),
-        ):
-            dx += dxq + dxk + dxv
-        return dxs
+    def backward(self, dy: Array, cache: dict) -> Array:
+        x, q, k, v, what = cache["x"], cache["q"], cache["k"], cache["v"], cache["what"]
+        f = x.shape[0]
+        scale = 1.0 / math.sqrt(f)
+        items = nn.segments(cache["bounds"], x.shape[1])
+        self.delta.grad += (dy * cache["a"]).sum()
+        da = self.delta.value[0] * dy
+        dwhat = np.empty_like(what)
+        dq, dk, dv = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        for i, (lo, hi) in enumerate(items):
+            cols = slice(i * f, (i + 1) * f)
+            dwhat[:, cols], dv[:, lo:hi] = nn.matmul_backward(
+                da[:, lo:hi], what[:, cols], v[:, lo:hi]
+            )
+        dw = nn.softmax_columns_backward(dwhat, what)
+        for i, (lo, hi) in enumerate(items):
+            cols = slice(i * f, (i + 1) * f)
+            dq[:, lo:hi] = dw[:, cols] @ k[:, lo:hi] * scale
+            dk[:, lo:hi] = dw[:, cols].T @ q[:, lo:hi] * scale
+        return dy + (
+            self.wq.backward(dq, x) + self.wk.backward(dk, x) + self.wv.backward(dv, x)
+        )
 
 
 class TCNBlock:
     """Residual unit: 1x1 in, PReLU, BN, dilated depthwise, PReLU, BN, 1x1 out."""
 
-    def __init__(
-        self,
-        store: ParamStore,
-        name: str,
-        width_in: int,
-        width_hidden: int,
-        kernel: int,
-        dilation: int,
-        rng,
-    ):
+    def __init__(self, store: ParamStore, name: str, width_in: int,
+                 width_hidden: int, kernel: int, dilation: int, rng):
         if kernel % 2 == 0:
             raise ValueError(f"kernel size must be odd, got {kernel}")
         self.dilation = dilation
@@ -236,37 +196,34 @@ class TCNBlock:
         self.bn2 = BatchNormLayer(store, f"{name}.bn2", width_hidden)
         self.out_conv = Conv1x1(store, f"{name}.out_conv", width_hidden, width_in, rng)
 
-    def forward(self, xs: list[Array], mode: str, cache: dict | None = None):
-        h0 = self.in_conv.forward(xs)
+    def forward(self, x: Array, bounds, mode: str, cache: dict | None = None):
+        h0 = self.in_conv.forward(x)
         h1 = self.prelu1.forward(h0)
         h2 = self.bn1.forward(h1, mode)
-        h3 = [
-            nn.depthwise_dconv(h, self.dkernel.value, self.dbias.value, self.dilation)
-            for h in h2
-        ]
+        h3 = nn.depthwise_dconv(
+            h2, self.dkernel.value, self.dbias.value, self.dilation, bounds
+        )
         h4 = self.prelu2.forward(h3)
         h5 = self.bn2.forward(h4, mode)
-        outs = [x + y for x, y in zip(xs, self.out_conv.forward(h5))]
         if cache is not None:
-            cache.update(xs=xs, h0=h0, h1=h1, h2=h2, h3=h3, h4=h4, h5=h5, mode=mode)
-        return outs
+            cache.update(
+                x=x, bounds=bounds, h0=h0, h1=h1, h2=h2, h3=h3, h4=h4, h5=h5, mode=mode
+            )
+        return x + self.out_conv.forward(h5)
 
-    def backward(self, dys: list[Array], cache: dict) -> list[Array]:
+    def backward(self, dy: Array, cache: dict) -> Array:
         mode = cache["mode"]
-        dh5 = self.out_conv.backward(dys, cache["h5"])
+        dh5 = self.out_conv.backward(dy, cache["h5"])
         dh4 = self.bn2.backward(dh5, cache["h4"], mode)
         dh3 = self.prelu2.backward(dh4, cache["h3"])
-        dh2 = []
-        for dh, h in zip(dh3, cache["h2"]):
-            dx, dk, db = nn.depthwise_dconv_backward(
-                dh, h, self.dkernel.value, self.dilation
-            )
-            self.dkernel.grad += dk
-            self.dbias.grad += db
-            dh2.append(dx)
+        dh2, dk, db = nn.depthwise_dconv_backward(
+            dh3, cache["h2"], self.dkernel.value, self.dilation, cache["bounds"]
+        )
+        self.dkernel.grad += dk
+        self.dbias.grad += db
         dh1 = self.bn1.backward(dh2, cache["h1"], mode)
         dh0 = self.prelu1.backward(dh1, cache["h0"])
-        return [dy + dx for dy, dx in zip(dys, self.in_conv.backward(dh0, cache["xs"]))]
+        return dy + self.in_conv.backward(dh0, cache["x"])
 
 
 class Stage:
@@ -277,53 +234,35 @@ class Stage:
     sigmoid that produces the (0, 1) mask.
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        name: str,
-        f: int,
-        bottleneck: int,
-        hidden: int,
-        kernel: int,
-        stacks: int,
-        blocks_per_stack: int,
-        rng,
-    ):
+    def __init__(self, store: ParamStore, name: str, f: int, bottleneck: int,
+                 hidden: int, kernel: int, stacks: int, blocks_per_stack: int, rng):
         self.sa = SABlock(store, f"{name}.sa", f, rng)
         self.bottleneck = Conv1x1(store, f"{name}.bottleneck", f, bottleneck, rng)
         self.blocks = [
-            TCNBlock(
-                store,
-                f"{name}.stack{r + 1}.block{l + 1}",
-                bottleneck,
-                hidden,
-                kernel,
-                2 ** l,
-                rng,
-            )
+            TCNBlock(store, f"{name}.stack{r + 1}.block{l + 1}", bottleneck, hidden,
+                     kernel, 2 ** l, rng)
             for r in range(stacks)
             for l in range(blocks_per_stack)
         ]
         self.out_proj = Conv1x1(store, f"{name}.out_proj", bottleneck, f, rng)
 
-    def forward(self, xs: list[Array], mode: str, cache: dict | None = None):
+    def forward(self, x: Array, bounds, mode: str, cache: dict | None = None):
         sa_cache = {} if cache is not None else None
-        a = self.sa.forward(xs, sa_cache)
+        a = self.sa.forward(x, bounds, sa_cache)
         h = self.bottleneck.forward(a)
         block_caches = [] if cache is not None else None
         for block in self.blocks:
             bc = {} if cache is not None else None
-            h = block.forward(h, mode, bc)
+            h = block.forward(h, bounds, mode, bc)
             if cache is not None:
                 block_caches.append(bc)
-        z = self.out_proj.forward(h)
-        masks = [nn.sigmoid(v) for v in z]
+        mask = nn.sigmoid(self.out_proj.forward(h))
         if cache is not None:
-            cache.update(sa=sa_cache, a=a, blocks=block_caches, h=h, masks=masks)
-        return masks
+            cache.update(sa=sa_cache, a=a, blocks=block_caches, h=h, mask=mask)
+        return mask
 
-    def backward(self, dmasks: list[Array], cache: dict) -> list[Array]:
-        dz = [nn.sigmoid_backward(dm, m) for dm, m in zip(dmasks, cache["masks"])]
+    def backward(self, dmask: Array, cache: dict) -> Array:
+        dz = nn.sigmoid_backward(dmask, cache["mask"])
         dh = self.out_proj.backward(dz, cache["h"])
         for block, bc in zip(reversed(self.blocks), reversed(cache["blocks"])):
             dh = block.backward(dh, bc)
@@ -337,17 +276,17 @@ class _FusionBranch:
         self.prelu = PReLULayer(store, f"{name}.prelu", f)
         self.gln = GlobalNormLayer(store, f"{name}.gln", f)
 
-    def forward(self, xs: list[Array], cache: dict | None = None):
-        c = self.conv.forward(xs)
+    def forward(self, x: Array, bounds, cache: dict | None = None) -> Array:
+        c = self.conv.forward(x)
         p = self.prelu.forward(c)
         if cache is not None:
-            cache.update(xs=xs, c=c, p=p)
-        return self.gln.forward(p)
+            cache.update(x=x, c=c, p=p)
+        return self.gln.forward(p, bounds)
 
-    def backward(self, dys: list[Array], cache: dict) -> list[Array]:
-        dp = self.gln.backward(dys, cache["p"])
+    def backward(self, dy: Array, bounds, cache: dict) -> Array:
+        dp = self.gln.backward(dy, cache["p"], bounds)
         dc = self.prelu.backward(dp, cache["c"])
-        return self.conv.backward(dc, cache["xs"])
+        return self.conv.backward(dc, cache["x"])
 
 
 class FusionBlock:
@@ -366,38 +305,32 @@ class FusionBlock:
         self.post_conv2 = Conv1x1(store, f"{name}.post.conv2", f, f, rng)
         self.post_prelu2 = PReLULayer(store, f"{name}.post.prelu2", f)
 
-    def forward(
-        self,
-        masked_orig: list[Array],
-        prev_est: list[Array],
-        cache: dict | None = None,
-    ) -> list[Array]:
-        for a, b in zip(masked_orig, prev_est):
-            if a.shape != b.shape:
-                raise ValueError(f"fusion inputs differ: {a.shape} vs {b.shape}")
+    def forward(self, masked_orig: Array, prev_est: Array, bounds,
+                cache: dict | None = None) -> Array:
+        if masked_orig.shape != prev_est.shape:
+            raise ValueError(
+                f"fusion inputs differ: {masked_orig.shape} vs {prev_est.shape}"
+            )
         ca = {} if cache is not None else None
         cb = {} if cache is not None else None
-        s = [
-            a + b
-            for a, b in zip(
-                self.branch_a.forward(masked_orig, ca),
-                self.branch_b.forward(prev_est, cb),
-            )
-        ]
+        s = self.branch_a.forward(masked_orig, bounds, ca) + self.branch_b.forward(
+            prev_est, bounds, cb
+        )
         p1 = self.post_conv1.forward(s)
         p2 = self.post_prelu1.forward(p1)
-        p3 = self.post_gln.forward(p2)
+        p3 = self.post_gln.forward(p2, bounds)
         p4 = self.post_conv2.forward(p3)
         if cache is not None:
-            cache.update(a=ca, b=cb, s=s, p1=p1, p2=p2, p3=p3, p4=p4)
+            cache.update(a=ca, b=cb, bounds=bounds, s=s, p1=p1, p2=p2, p3=p3, p4=p4)
         return self.post_prelu2.forward(p4)
 
-    def backward(self, dys: list[Array], cache: dict):
-        dp4 = self.post_prelu2.backward(dys, cache["p4"])
+    def backward(self, dy: Array, cache: dict):
+        bounds = cache["bounds"]
+        dp4 = self.post_prelu2.backward(dy, cache["p4"])
         dp3 = self.post_conv2.backward(dp4, cache["p3"])
-        dp2 = self.post_gln.backward(dp3, cache["p2"])
+        dp2 = self.post_gln.backward(dp3, cache["p2"], bounds)
         dp1 = self.post_prelu1.backward(dp2, cache["p1"])
         ds = self.post_conv1.backward(dp1, cache["s"])
-        da = self.branch_a.backward(ds, cache["a"])
-        db = self.branch_b.backward(ds, cache["b"])
+        da = self.branch_a.backward(ds, bounds, cache["a"])
+        db = self.branch_b.backward(ds, bounds, cache["b"])
         return da, db

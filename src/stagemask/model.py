@@ -5,14 +5,17 @@ stage sees a fusion of (previous mask applied to the original magnitude) with
 the running estimate.  Estimates cascade multiplicatively, so they can only
 shrink: ``est[k] = mask[k] * est[k-1]`` with ``est[0]`` the input.
 
-Forward passes run over mini-batches held as lists of (F, T_i) tensors; batch
-normalization couples the items in train mode (statistics over batch x time),
-everything else treats them independently.  ``forward``/``backward`` wrap the
-batched path for the common single-utterance case.
+``forward_batch`` packs a list of (F, T_i) magnitudes into one (F, sum T_i)
+array with item bounds (see ``blocks``), and every tensor of the resulting
+trace is packed the same way.  Batch normalization couples the items in train
+mode (statistics over batch x time); everything else treats them
+independently.  ``forward``/``backward`` wrap the batched path for the common
+single-utterance case, where the packed array is the utterance itself.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,21 +63,22 @@ class ModelConfig:
 class BatchTrace:
     """Everything one batched forward produced, plus caches when training.
 
-    ``masks[k][i]`` is stage k+1's mask for item i; ``estimates[k][i]`` the
-    cascade after stage k, with ``estimates[0]`` the inputs themselves.
+    Every array is packed: item i holds columns ``bounds[i]:bounds[i + 1]``.
+    ``masks[k]`` is stage k+1's mask; ``estimates[k]`` the cascade after
+    stage k, with ``estimates[0]`` the inputs themselves.
     """
 
-    inputs: list[Array]
-    masks: list[list[Array]]
-    estimates: list[list[Array]]
-    fused: list[list[Array]]
+    inputs: Array
+    bounds: tuple[int, ...]
+    masks: list[Array]
+    estimates: list[Array]
     mode: str
     stage_caches: list | None = None
     fusion_caches: list | None = None
 
     @property
     def n_items(self) -> int:
-        return len(self.inputs)
+        return len(self.bounds) - 1
 
 
 @dataclass
@@ -84,7 +88,6 @@ class ForwardTrace:
     input: Array
     masks: list[Array]
     estimates: list[Array]  # estimates[0] is the input, estimates[k] after stage k
-    fused: list[Array]
     mode: str
     batch: BatchTrace
 
@@ -96,17 +99,8 @@ class MultiStageModel:
         rng = np.random.default_rng(config.seed)
         f = config.freq_bins
         self.stages = [
-            Stage(
-                self.store,
-                f"stage{k + 1}",
-                f,
-                config.bottleneck,
-                config.hidden,
-                config.kernel,
-                config.stacks,
-                config.blocks_per_stack,
-                rng,
-            )
+            Stage(self.store, f"stage{k + 1}", f, config.bottleneck, config.hidden,
+                  config.kernel, config.stacks, config.blocks_per_stack, rng)
             for k in range(config.stages)
         ]
         self.fusions = [
@@ -131,10 +125,10 @@ class MultiStageModel:
     def forward_batch(
         self, xs: list[Array], mode: str = "eval", mask_hook=None
     ) -> BatchTrace:
-        """Run all stages over a mini-batch in lockstep.
+        """Run all stages once over the packed mini-batch.
 
-        ``mask_hook(stage_index, mask) -> mask`` substitutes each item's mask
-        right after the sigmoid (eval-mode test hook only).
+        ``mask_hook(stage_index, mask) -> mask`` substitutes each stage's
+        packed mask right after the sigmoid (eval-mode test hook only).
         """
         if not xs:
             raise ValueError("empty batch")
@@ -144,99 +138,88 @@ class MultiStageModel:
         if mode == "train" and mask_hook is not None:
             raise ValueError("mask_hook is an eval-only test hook")
 
+        x = np.concatenate(xs, axis=1)
+        bounds = (0, *itertools.accumulate(item.shape[1] for item in xs))
         train = mode == "train"
-        masks: list[list[Array]] = []
-        estimates: list[list[Array]] = [xs]
-        fused: list[list[Array]] = []
+        masks: list[Array] = []
+        estimates: list[Array] = [x]
         stage_caches = [] if train else None
         fusion_caches = [] if train else None
         for k, stage in enumerate(self.stages, start=1):
             if k == 1:
-                xin = xs
+                xin = x
             elif k == 2:
                 xin = estimates[1]
             else:
                 fc = {} if train else None
-                masked = [m * x for m, x in zip(masks[k - 2], xs)]
-                xin = self.fusions[k - 3].forward(masked, estimates[k - 1], fc)
-                fused.append(xin)
+                xin = self.fusions[k - 3].forward(
+                    masks[k - 2] * x, estimates[k - 1], bounds, fc
+                )
                 if train:
                     fusion_caches.append(fc)
             sc = {} if train else None
-            stage_masks = stage.forward(xin, mode, sc)
+            mask = stage.forward(xin, bounds, mode, sc)
             if train:
                 stage_caches.append(sc)
             if mask_hook is not None:
-                stage_masks = [mask_hook(k, m) for m in stage_masks]
-            masks.append(stage_masks)
-            estimates.append([m * e for m, e in zip(stage_masks, estimates[k - 1])])
-        return BatchTrace(
-            xs, masks, estimates, fused, mode, stage_caches, fusion_caches
-        )
+                mask = mask_hook(k, mask)
+            masks.append(mask)
+            estimates.append(mask * estimates[k - 1])
+        return BatchTrace(x, bounds, masks, estimates, mode, stage_caches,
+                          fusion_caches)
 
     def forward(self, x: Array, mode: str = "eval", mask_hook=None) -> ForwardTrace:
         batch = self.forward_batch([x], mode, mask_hook)
-        return ForwardTrace(
-            batch.inputs[0],
-            [m[0] for m in batch.masks],
-            [e[0] for e in batch.estimates],
-            [f[0] for f in batch.fused],
-            mode,
-            batch,
-        )
+        return ForwardTrace(batch.inputs, batch.masks, batch.estimates, mode, batch)
 
     # -- backward -----------------------------------------------------------
 
     def backward_batch(
         self, trace: BatchTrace, cleans: list[Array], scale: float = 1.0
-    ) -> list[Array]:
+    ) -> Array:
         """Accumulate parameter gradients of ``scale * mean-over-items of the
-        per-item total losses`` and return gradients w.r.t. the inputs."""
+        per-item total losses`` and return the packed gradient w.r.t. the
+        inputs."""
         if trace.mode != "train":
             raise ValueError("backward needs a trace from a train-mode forward")
         if len(cleans) != trace.n_items:
             raise ValueError(f"{len(cleans)} targets for {trace.n_items} items")
         k_stages = self.config.stages
-        n = trace.n_items
-        xs = trace.inputs
+        x = trace.inputs
         est = trace.estimates
-        g_est = [[np.zeros_like(x) for x in xs] for _ in range(k_stages + 1)]
-        g_masks = [[np.zeros_like(x) for x in xs] for _ in range(k_stages)]
-        gxs = [np.zeros_like(x) for x in xs]
-        item_scale = scale / n
-        for k in range(1, k_stages + 1):
-            for i in range(n):
-                g_est[k][i] += item_scale * nn.mean_abs_loss_backward(
-                    est[k][i], cleans[i]
-                )
+        masks = trace.masks
+        # each column is averaged over its own item's F x T_i entries
+        t_items = np.diff(trace.bounds)
+        counts = x.shape[0] * np.repeat(t_items, t_items)
+        g_loss = nn.mean_abs_loss_backward(
+            np.stack(est[1:]), np.concatenate(cleans, axis=1), counts
+        )
+        g_est = [np.zeros_like(x)] + list(g_loss * (scale / trace.n_items))
+        g_masks = [np.zeros_like(x) for _ in range(k_stages)]
+        gx = np.zeros_like(x)
         for k in range(k_stages, 0, -1):
-            # est[k] = masks[k-1] * est[k-1], elementwise per item
-            for i in range(n):
-                g_masks[k - 1][i] += g_est[k][i] * est[k - 1][i]
-                g_est[k - 1][i] += g_est[k][i] * trace.masks[k - 1][i]
+            # est[k] = masks[k-1] * est[k-1]
+            g_masks[k - 1] += g_est[k] * est[k - 1]
+            g_est[k - 1] += g_est[k] * masks[k - 1]
             d_xin = self.stages[k - 1].backward(
                 g_masks[k - 1], trace.stage_caches[k - 1]
             )
             if k == 1:
-                for i in range(n):
-                    gxs[i] += d_xin[i]
+                gx += d_xin
             elif k == 2:
-                for i in range(n):
-                    g_est[1][i] += d_xin[i]
+                g_est[1] += d_xin
             else:
                 da, db = self.fusions[k - 3].backward(
                     d_xin, trace.fusion_caches[k - 3]
                 )
-                for i in range(n):
-                    g_masks[k - 2][i] += da[i] * xs[i]
-                    gxs[i] += da[i] * trace.masks[k - 2][i]
-                    g_est[k - 1][i] += db[i]
-        for i in range(n):
-            gxs[i] += g_est[0][i]
-        return gxs
+                g_masks[k - 2] += da * x
+                gx += da * masks[k - 2]
+                g_est[k - 1] += db
+        gx += g_est[0]
+        return gx
 
     def backward(self, trace: ForwardTrace, clean: Array, scale: float = 1.0) -> Array:
-        return self.backward_batch(trace.batch, [clean], scale)[0]
+        return self.backward_batch(trace.batch, [clean], scale)
 
     # -- inference ----------------------------------------------------------
 
@@ -304,8 +287,8 @@ def total_loss(trace: ForwardTrace, clean: Array) -> tuple[list[float], float]:
         raise ValueError(
             f"clean shape {clean.shape} != input shape {trace.input.shape}"
         )
-    per_stage = [nn.mean_abs_loss(est, clean) for est in trace.estimates[1:]]
-    return per_stage, float(sum(per_stage))
+    per_stage, totals = total_loss_batch(trace.batch, [clean])
+    return per_stage, totals[0]
 
 
 def total_loss_batch(
@@ -314,10 +297,10 @@ def total_loss_batch(
     """Stage means over the batch and per-item totals (equal item weight)."""
     if len(cleans) != trace.n_items:
         raise ValueError(f"{len(cleans)} targets for {trace.n_items} items")
+    items = nn.segments(trace.bounds, trace.inputs.shape[1])
     per_item_stage = [
-        [nn.mean_abs_loss(trace.estimates[k][i], cleans[i])
-         for k in range(1, len(trace.estimates))]
-        for i in range(trace.n_items)
+        [nn.mean_abs_loss(est[:, lo:hi], clean) for est in trace.estimates[1:]]
+        for (lo, hi), clean in zip(items, cleans)
     ]
     stage_means = [
         float(np.mean([row[k] for row in per_item_stage]))

@@ -27,17 +27,31 @@ def f32_clean(a: Array) -> Array:
 
 
 class Parameter:
-    """Named value tensor with a paired gradient buffer."""
+    """Named value tensor with a paired gradient buffer.
 
-    __slots__ = ("name", "value", "grad")
+    Once the owning store is packed, both are views into its flat vectors;
+    assigning ``value`` copies into the existing storage, so the view stays.
+    """
+
+    __slots__ = ("name", "_value", "grad")
 
     def __init__(self, name: str, value: Array):
         self.name = name
-        self.value = f32_clean(value)
-        self.grad = np.zeros_like(self.value)
+        self._value = f32_clean(value)
+        self.grad = np.zeros_like(self._value)
+
+    @property
+    def value(self) -> Array:
+        return self._value
+
+    @value.setter
+    def value(self, new):
+        if np.shape(new) != self._value.shape:
+            raise ValueError(f"{self.name}: {np.shape(new)} != {self._value.shape}")
+        self._value[...] = new
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self._value.shape})"
 
 
 class ParamStore:
@@ -46,8 +60,11 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
         self._buffers: dict[str, Array] = {}
+        self._flat: tuple[Array, Array] | None = None
 
     def register(self, name: str, value: Array) -> Parameter:
+        if self._flat is not None:
+            raise ValueError(f"cannot register {name}: the store is already packed")
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         p = Parameter(name, value)
@@ -61,6 +78,31 @@ class ParamStore:
         self._buffers[name] = buf
         return buf
 
+    def flat(self) -> tuple[Array, Array]:
+        """One contiguous value vector and one gradient vector, in
+        registration order.
+
+        Packed on the first call (inference never makes one), after which no
+        parameter may be added: each parameter's arrays are copied into their
+        slices and replaced by views, one at a time, so no second full copy
+        of the parameters is ever held.
+        """
+        if self._flat is None:
+            values, grads = self._flat = np.empty(self.count()), np.zeros(self.count())
+            for (name, value), (_, grad) in zip(self.views(values), self.views(grads)):
+                p = self._params[name]
+                value[...], grad[...] = p.value, p.grad
+                p._value, p.grad = value, grad
+        return self._flat
+
+    def views(self, vector: Array):
+        """(name, view) pairs splitting a vector laid out like ``flat``."""
+        start = 0
+        for name, p in self._params.items():
+            stop = start + p.value.size
+            yield name, vector[start:stop].reshape(p.value.shape)
+            start = stop
+
     def params(self):
         return self._params.items()
 
@@ -70,15 +112,8 @@ class ParamStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def zero_grads(self):
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.flat()[1][...] = 0.0
 
     def count(self, prefix: str = "") -> int:
         return sum(
@@ -119,10 +154,36 @@ def pointwise_conv_backward(dy: Array, x: Array, weight: Array):
     return dx, dw, db
 
 
-def depthwise_dconv(x: Array, kernel: Array, bias: Array, dilation: int) -> Array:
+def segments(bounds, t: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) column pairs of the items packed in a (C, t) array.
+
+    ``bounds`` is (0, T_1, T_1 + T_2, ..., t); None means a single item.
+    """
+    if bounds is None:
+        return ((0, t),)
+    if bounds[0] != 0 or bounds[-1] != t:
+        raise ValueError(f"segment bounds {bounds} do not span {t} columns")
+    return tuple(zip(bounds[:-1], bounds[1:]))
+
+
+def _crossing(bounds, offset: int, t: int) -> list[slice]:
+    """Output columns whose tap at ``offset`` would read across an interior
+    segment boundary; taps beyond the packed array's ends read padding."""
+    if bounds is None or offset == 0:
+        return []
+    if offset > 0:
+        return [slice(max(b - offset, 0), b) for b in bounds[1:-1]]
+    return [slice(b, min(b - offset, t)) for b in bounds[1:-1]]
+
+
+def depthwise_dconv(
+    x: Array, kernel: Array, bias: Array, dilation: int, bounds=None
+) -> Array:
     """Per-channel dilated convolution, zero-padded so output length equals T.
 
-    Non-causal: tap p looks at offset (p - (P-1)/2) * dilation.
+    Non-causal: tap p looks at offset (p - (P-1)/2) * dilation.  ``bounds``
+    (0, T_1, T_1 + T_2, ..., sum T) splits packed items; a tap never reads
+    across them, exactly as if each item were padded on its own.
     """
     c, t = x.shape
     if kernel.ndim != 2 or kernel.shape[0] != c:
@@ -134,16 +195,22 @@ def depthwise_dconv(x: Array, kernel: Array, bias: Array, dilation: int) -> Arra
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     if bias.shape != (c,):
         raise ValueError(f"bias shape {bias.shape} != ({c},)")
+    segments(bounds, t)  # validates bounds
     pad = (p_taps - 1) // 2 * dilation
     xp = np.zeros((c, t + 2 * pad))
     xp[:, pad : pad + t] = x
     y = np.tile(bias[:, None], (1, t))
     for p in range(p_taps):
-        y += kernel[:, p : p + 1] * xp[:, p * dilation : p * dilation + t]
+        tap = kernel[:, p : p + 1] * xp[:, p * dilation : p * dilation + t]
+        for cols in _crossing(bounds, p * dilation - pad, t):
+            tap[:, cols] = 0.0
+        y += tap
     return y
 
 
-def depthwise_dconv_backward(dy: Array, x: Array, kernel: Array, dilation: int):
+def depthwise_dconv_backward(
+    dy: Array, x: Array, kernel: Array, dilation: int, bounds=None
+):
     c, t = x.shape
     p_taps = kernel.shape[1]
     pad = (p_taps - 1) // 2 * dilation
@@ -153,8 +220,12 @@ def depthwise_dconv_backward(dy: Array, x: Array, kernel: Array, dilation: int):
     dk = np.empty_like(kernel)
     for p in range(p_taps):
         sl = slice(p * dilation, p * dilation + t)
-        dxp[:, sl] += kernel[:, p : p + 1] * dy
-        dk[:, p] = (dy * xp[:, sl]).sum(axis=1)
+        crossing = _crossing(bounds, p * dilation - pad, t)
+        dy_tap = dy.copy() if crossing else dy
+        for cols in crossing:
+            dy_tap[:, cols] = 0.0
+        dxp[:, sl] += kernel[:, p : p + 1] * dy_tap
+        dk[:, p] = (dy_tap * xp[:, sl]).sum(axis=1)
     db = dy.sum(axis=1)
     return dxp[:, pad : pad + t], dk, db
 
@@ -225,24 +296,34 @@ def batch_norm_backward(
 
 
 def global_layer_norm(
-    x: Array, gamma: Array, beta: Array, eps: float = GLN_EPS
+    x: Array, gamma: Array, beta: Array, eps: float = GLN_EPS, bounds=None
 ) -> Array:
-    """Normalize by mean/variance over all entries jointly; affine per row."""
+    """Normalize each item by the mean/variance over all its entries jointly;
+    affine per row.  ``bounds`` splits packed items (see ``segments``)."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    xhat = (x - x.mean()) / math.sqrt(x.var() + eps)
-    return gamma * xhat + beta
+    y = np.empty_like(x)
+    for lo, hi in segments(bounds, x.shape[1]):
+        seg = x[:, lo:hi]
+        y[:, lo:hi] = gamma * ((seg - seg.mean()) / math.sqrt(seg.var() + eps)) + beta
+    return y
 
 
 def global_layer_norm_backward(
-    dy: Array, x: Array, gamma: Array, eps: float = GLN_EPS
+    dy: Array, x: Array, gamma: Array, eps: float = GLN_EPS, bounds=None
 ):
-    inv_std = 1.0 / math.sqrt(x.var() + eps)
-    xhat = (x - x.mean()) * inv_std
+    xhat = np.empty_like(x)
+    dx = np.empty_like(x)
+    g = dy * gamma
+    for lo, hi in segments(bounds, x.shape[1]):
+        seg = x[:, lo:hi]
+        gs = g[:, lo:hi]
+        inv_std = 1.0 / math.sqrt(seg.var() + eps)
+        xh = xhat[:, lo:hi]
+        xh[...] = (seg - seg.mean()) * inv_std
+        dx[:, lo:hi] = inv_std * (gs - gs.mean() - xh * (gs * xh).mean())
     dgamma = (dy * xhat).sum(axis=1, keepdims=True)
     dbeta = dy.sum(axis=1, keepdims=True)
-    g = dy * gamma
-    dx = inv_std * (g - g.mean() - xhat * (g * xhat).mean())
     return dx, dgamma, dbeta
 
 
@@ -257,12 +338,9 @@ def softmax_columns_backward(dy: Array, y: Array) -> Array:
 
 
 def sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, overflow-free: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(dy: Array, y: Array) -> Array:
@@ -286,9 +364,13 @@ def mean_abs_loss(a: Array, bt: Array) -> float:
     return float(np.abs(a - bt).mean())
 
 
-def mean_abs_loss_backward(a: Array, bt: Array) -> Array:
-    """Gradient w.r.t. the first argument: sign(a - bt) / count."""
-    return np.sign(a - bt) / a.size
+def mean_abs_loss_backward(a: Array, bt: Array, count=None) -> Array:
+    """Gradient w.r.t. the first argument: sign(a - bt) / count.
+
+    ``count`` is the number of entries averaged over, ``a.size`` by default;
+    an array broadcast against ``a`` gives each packed item its own.
+    """
+    return np.sign(a - bt) / (a.size if count is None else count)
 
 
 def finite_diff_check(fn, point: Array, h: float = 1e-4) -> float:

@@ -1,14 +1,16 @@
 """Adam optimization, zero-padded batching, the training loop, checkpoints.
 
-Mini-batches are processed one utterance at a time with gradients scaled by
-1/batch, which makes the batch objective exactly the mean of per-item losses.
-Each padded item is trimmed back to its own frame count before the forward
-pass, so padding can never leak into losses or statistics; the equality
-between padded-batch and per-item losses is bit-exact.
+Each mini-batch runs as one packed forward/backward over its items'
+magnitudes (see ``model``), with gradients scaled by 1/batch, which makes the
+batch objective exactly the mean of per-item losses.  Each padded item is
+trimmed back to its own frame count before packing, so padding can never leak
+into losses or statistics.  Adam updates the store's flat parameter vector
+with a few whole-vector operations.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import dsp
 from .model import ModelConfig, MultiStageModel, total_loss_batch
-from .nn import Array, ParamStore, f32_clean
+from .nn import Array, ParamStore
 
 CHECKPOINT_MAGIC = b"SATCN001"
 
@@ -58,39 +60,35 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment tensors aligned with the store, plus step count."""
+    """First/second moment vectors laid out like the store's flat parameter
+    vector (``ParamStore.views`` splits them by name), plus step count."""
 
     def __init__(self, store: ParamStore):
-        self.m = {name: np.zeros_like(p.value) for name, p in store.params()}
-        self.v = {name: np.zeros_like(p.value) for name, p in store.params()}
+        self.m = np.zeros(store.count())
+        self.v = np.zeros(store.count())
         self.step = 0
 
 
 def adam_step(store: ParamStore, state: AdamState, cfg: TrainConfig):
     """One bias-corrected Adam update; gradients are zeroed afterwards."""
-    for name, p in store.params():
-        if not np.all(np.isfinite(p.grad)):
-            raise ValueError(f"non-finite gradient in parameter {name}")
+    values, grads = store.flat()
+    if not np.isfinite(grads).all():
+        name = next(n for n, p in store.params() if not np.isfinite(p.grad).all())
+        raise ValueError(f"non-finite gradient in parameter {name}")
     if cfg.clip_norm is not None:
-        norm_sq = sum(float((p.grad ** 2).sum()) for _, p in store.params())
-        norm = norm_sq ** 0.5
+        norm = math.sqrt(grads @ grads)
         if norm > cfg.clip_norm:
-            scale = cfg.clip_norm / norm
-            for _, p in store.params():
-                p.grad *= scale
+            grads *= cfg.clip_norm / norm
     state.step += 1
     bc1 = 1.0 - cfg.beta1 ** state.step
     bc2 = 1.0 - cfg.beta2 ** state.step
-    for name, p in store.params():
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * p.grad
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * p.grad ** 2
-        update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        p.value = f32_clean(p.value - update)
-        p.grad[...] = 0.0
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * grads
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * grads ** 2
+    values -= cfg.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.eps)
+    values[...] = values.astype(np.float32)  # keep values on the float32 grid
+    grads[...] = 0.0
 
 
 @dataclass
@@ -240,22 +238,13 @@ def save_checkpoint(
     tensors += [(name, p.value) for name, p in model.store.params()]
     tensors += list(model.store.buffers())
     if state is not None:
-        tensors += [(f"adam.m.{name}", v) for name, v in state.m.items()]
-        tensors += [(f"adam.v.{name}", v) for name, v in state.v.items()]
+        tensors += [(f"adam.m.{name}", m) for name, m in model.store.views(state.m)]
+        tensors += [(f"adam.v.{name}", v) for name, v in model.store.views(state.v)]
         tensors.append(("adam.step", np.array([float(state.step)])))
     blob = [
         CHECKPOINT_MAGIC,
-        struct.pack(
-            "<8i",
-            cfg.stages,
-            cfg.hidden,
-            cfg.bottleneck,
-            cfg.stacks,
-            cfg.blocks_per_stack,
-            cfg.kernel,
-            cfg.fft_size,
-            cfg.hop,
-        ),
+        struct.pack("<8i", cfg.stages, cfg.hidden, cfg.bottleneck, cfg.stacks,
+                    cfg.blocks_per_stack, cfg.kernel, cfg.fft_size, cfg.hop),
         struct.pack("<q", cfg.seed),
         struct.pack("<i", len(tensors)),
     ]
@@ -284,6 +273,20 @@ class _Reader:
 
     def i8(self) -> int:
         return struct.unpack("<q", self.take(8))[0]
+
+
+def _fill(tensors: dict[str, Array], dests, kind: str, end: int):
+    """Copy each named file tensor into its (name, destination array)."""
+    for name, dest in dests:
+        if name not in tensors:
+            raise FormatError(f"missing {kind} {name}", end)
+        if tensors[name].shape != dest.shape:
+            raise FormatError(
+                f"shape mismatch for {kind} {name}: file {tensors[name].shape} "
+                f"vs model {dest.shape}",
+                end,
+            )
+        dest[...] = tensors.pop(name)
 
 
 def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
@@ -316,52 +319,48 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
         name_len = r.i4()
         if name_len <= 0:
             raise FormatError(f"bad name length {name_len}", r.offset - 4)
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                "tensor name is not UTF-8", r.offset - name_len + exc.start
+            ) from exc
         rank = r.i4()
         if rank < 0:
             raise FormatError(f"bad rank {rank} for {name}", r.offset - 4)
+        extents_at = r.offset
         extents = struct.unpack(f"<{rank}i", r.take(4 * rank))
-        count = int(np.prod(extents)) if rank else 1
+        for j, extent in enumerate(extents):
+            if extent < 0:
+                raise FormatError(
+                    f"negative extent {extent} for {name}", extents_at + 4 * j
+                )
+        count = math.prod(extents)
         raw = r.take(4 * count)
         if name in tensors:
             raise FormatError(f"duplicate tensor {name}", r.offset)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(extents)
+        # float32 views of the file; each is copied into its float64 home below
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(extents)
     if r.offset != len(data):
         raise FormatError(f"{len(data) - r.offset} trailing bytes", r.offset)
 
     model = MultiStageModel(config)
-    for name, p in model.store.params():
-        if name not in tensors:
-            raise FormatError(f"missing parameter {name}", len(data))
-        if tensors[name].shape != p.value.shape:
-            raise FormatError(
-                f"shape mismatch for {name}: file {tensors[name].shape} "
-                f"vs model {p.value.shape}",
-                len(data),
-            )
-        p.value = tensors.pop(name)
-    for name, buf in model.store.buffers():
-        if name not in tensors:
-            raise FormatError(f"missing buffer {name}", len(data))
-        if tensors[name].shape != buf.shape:
-            raise FormatError(f"shape mismatch for buffer {name}", len(data))
-        buf[...] = tensors.pop(name)
-
+    end = len(data)
+    params = ((name, p.value) for name, p in model.store.params())
+    _fill(tensors, params, "parameter", end)
+    _fill(tensors, model.store.buffers(), "buffer", end)
     state = None
     if tensors:
         if "adam.step" not in tensors:
             raise FormatError(
                 f"unexpected tensors without optimizer state: {sorted(tensors)[:3]}",
-                len(data),
+                end,
             )
         state = AdamState(model.store)
         state.step = int(tensors.pop("adam.step")[0])
-        for name, _ in model.store.params():
-            for prefix, dest in (("adam.m.", state.m), ("adam.v.", state.v)):
-                key = prefix + name
-                if key not in tensors:
-                    raise FormatError(f"missing optimizer tensor {key}", len(data))
-                dest[name] = tensors.pop(key)
+        for prefix, vector in (("adam.m.", state.m), ("adam.v.", state.v)):
+            views = ((prefix + name, v) for name, v in model.store.views(vector))
+            _fill(tensors, views, "optimizer tensor", end)
         if tensors:
-            raise FormatError(f"unknown tensors: {sorted(tensors)[:3]}", len(data))
+            raise FormatError(f"unknown tensors: {sorted(tensors)[:3]}", end)
     return model, state

@@ -107,10 +107,10 @@ def test_criterion_2_receptive_field():
     blocks = [TCNBlock(store, f"b{l}", 4, 6, 3, 2 ** l, rng) for l in range(8)]
 
     def run(x):
-        h = [x]
+        h = x
         for blk in blocks:
-            h = blk.forward(h, "eval")
-        return h[0]
+            h = blk.forward(h, (0, t_len), "eval")
+        return h
 
     t_len = 1100
     x = np.random.default_rng(18).standard_normal((4, t_len))
@@ -263,14 +263,14 @@ def test_criterion_5_architectural_identities():
     randomize_params(store, rng)
     sa.delta.value = np.zeros(1)
     x = rng.standard_normal((6, 9))
-    assert np.array_equal(sa.forward([x])[0], x)
+    assert np.array_equal(sa.forward(x, (0, 9)), x)
 
     store2 = nn.ParamStore()
     tcn = TCNBlock(store2, "blk", 4, 6, 3, 2, rng)
     tcn.out_conv.weight.value = np.zeros((4, 6))
     tcn.out_conv.bias.value = np.zeros(4)
     x2 = rng.standard_normal((4, 10))
-    assert np.array_equal(tcn.forward([x2], "train")[0], x2)
+    assert np.array_equal(tcn.forward(x2, (0, 10), "train"), x2)
 
     w = rng.standard_normal((7, 9)) * 1e4
     y = nn.softmax_columns(w)

@@ -14,6 +14,15 @@ from reference import (
 )
 
 
+# three packed items of unequal length
+BOUNDS = (0, 5, 7, 12)
+
+
+def _one(x):
+    """Bounds of a batch of one."""
+    return (0, x.shape[1])
+
+
 def _sa(f, seed=0):
     store = nn.ParamStore()
     return SABlock(store, "sa", f, np.random.default_rng(seed)), store
@@ -49,10 +58,10 @@ class TestReceptiveField:
         ]
 
         def run(x):
-            h = [x]
+            h = x
             for blk in blocks:
-                h = blk.forward(h, "eval")
-            return h[0]
+                h = blk.forward(h, _one(h), "eval")
+            return h
 
         rng_x = np.random.default_rng(12)
         x = rng_x.standard_normal((width, t_len))
@@ -70,7 +79,7 @@ class TestSABlock:
     def test_delta_zero_is_identity(self):
         block, _ = _sa(6, seed=3)
         x = np.random.default_rng(4).standard_normal((6, 9))
-        np.testing.assert_array_equal(block.forward([x])[0], x)
+        np.testing.assert_array_equal(block.forward(x, _one(x)), x)
 
     def test_zero_input_zero_bias_gives_zero(self):
         block, store = _sa(5, seed=5)
@@ -79,7 +88,7 @@ class TestSABlock:
             if name.endswith(".bias"):
                 p.value = np.zeros_like(p.value)
         x = np.zeros((5, 4))
-        np.testing.assert_array_equal(block.forward([x])[0], np.zeros((5, 4)))
+        np.testing.assert_array_equal(block.forward(x, _one(x)), np.zeros((5, 4)))
 
     def test_identity_projections_formula(self):
         block, _ = _sa(3, seed=6)
@@ -91,7 +100,7 @@ class TestSABlock:
         block.delta.value = np.array([1.0])
         x = np.random.default_rng(7).standard_normal((3, 2))
         expected = x + ref_softmax_columns(x @ x.T / np.sqrt(3.0)) @ x
-        np.testing.assert_allclose(block.forward([x])[0], expected, atol=1e-10)
+        np.testing.assert_allclose(block.forward(x, _one(x)), expected, atol=1e-10)
 
     def test_matches_scalar_oracle(self):
         block, store = _sa(4, seed=8)
@@ -99,7 +108,7 @@ class TestSABlock:
         randomize_params(store, rng)
         x = rng.standard_normal((4, 5))
         np.testing.assert_allclose(
-            block.forward([x])[0], ref_sa_block(x, block), atol=1e-10
+            block.forward(x, _one(x)), ref_sa_block(x, block), atol=1e-10
         )
 
     def test_grad_full_block(self):
@@ -110,9 +119,9 @@ class TestSABlock:
 
         def fn(x):
             cache = {}
-            y = block.forward([x], cache)[0]
+            y = block.forward(x, _one(x), cache)
             store.zero_grads()
-            dx = block.backward([c], cache)[0]
+            dx = block.backward(c, cache)
             return float((c * y).sum()), dx
 
         assert nn.finite_diff_check(fn, rng.standard_normal((3, 4))) < 1e-4
@@ -127,12 +136,38 @@ class TestSABlock:
         def fn(delta):
             block.delta.value = delta
             cache = {}
-            y = block.forward([x], cache)[0]
+            y = block.forward(x, _one(x), cache)
             store.zero_grads()
-            block.backward([c], cache)
+            block.backward(c, cache)
             return float((c * y).sum()), block.delta.grad.copy()
 
         assert nn.finite_diff_check(fn, np.array([0.4])) < 1e-5
+
+    def test_packed_items_attend_separately(self):
+        block, store = _sa(4, seed=40)
+        rng = np.random.default_rng(41)
+        randomize_params(store, rng)
+        x = rng.standard_normal((4, 12))
+        packed = block.forward(x, BOUNDS)
+        for lo, hi in zip(BOUNDS[:-1], BOUNDS[1:]):
+            np.testing.assert_allclose(
+                packed[:, lo:hi], ref_sa_block(x[:, lo:hi], block), atol=1e-10
+            )
+
+    def test_grad_segmented(self):
+        block, store = _sa(3, seed=42)
+        rng = np.random.default_rng(43)
+        randomize_params(store, rng)
+        c = rng.standard_normal((3, 12))
+
+        def fn(x):
+            cache = {}
+            y = block.forward(x, BOUNDS, cache)
+            store.zero_grads()
+            dx = block.backward(c, cache)
+            return float((c * y).sum()), dx
+
+        assert nn.finite_diff_check(fn, rng.standard_normal((3, 12))) < 1e-4
 
 
 class TestTCNBlock:
@@ -141,13 +176,13 @@ class TestTCNBlock:
         block.out_conv.weight.value = np.zeros((4, 6))
         block.out_conv.bias.value = np.zeros(4)
         x = np.random.default_rng(15).standard_normal((4, 10))
-        np.testing.assert_array_equal(block.forward([x], "train")[0], x)
+        np.testing.assert_array_equal(block.forward(x, _one(x), "train"), x)
 
     @pytest.mark.parametrize("dilation", [1, 2, 8])
     def test_output_shape_preserved(self, dilation):
         block, _ = _tcn(4, 6, 3, dilation, seed=16)
         x = np.random.default_rng(17).standard_normal((4, 7))
-        assert block.forward([x], "eval")[0].shape == (4, 7)
+        assert block.forward(x, _one(x), "eval").shape == (4, 7)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_scalar_oracle(self, mode):
@@ -156,7 +191,7 @@ class TestTCNBlock:
         randomize_params(store, rng)
         x = rng.standard_normal((4, 9))
         expected = ref_tcn_block(x, block, mode)
-        np.testing.assert_allclose(block.forward([x], mode)[0], expected, atol=1e-10)
+        np.testing.assert_allclose(block.forward(x, _one(x), mode), expected, atol=1e-10)
 
     def test_grad_full_block(self):
         block, store = _tcn(4, 6, 3, 2, seed=20)
@@ -166,9 +201,9 @@ class TestTCNBlock:
 
         def fn(x):
             cache = {}
-            y = block.forward([x], "train", cache)[0]
+            y = block.forward(x, _one(x), "train", cache)
             store.zero_grads()
-            dx = block.backward([c], cache)[0]
+            dx = block.backward(c, cache)
             return float((c * y).sum()), dx
 
         assert nn.finite_diff_check(fn, rng.standard_normal((4, 8))) < 1e-3
@@ -184,7 +219,7 @@ class TestStage:
         stage, store = self._stage()
         rng = np.random.default_rng(23)
         randomize_params(store, rng)
-        mask = stage.forward([np.abs(rng.standard_normal((9, 6)))], "eval")[0]
+        mask = stage.forward(np.abs(rng.standard_normal((9, 6))), (0, 6), "eval")
         assert np.all(mask > 0.0)
         assert np.all(mask < 1.0)
 
@@ -193,7 +228,7 @@ class TestStage:
         stage.out_proj.weight.value = np.zeros((9, 4))
         stage.out_proj.bias.value = np.zeros(9)
         x = np.abs(np.random.default_rng(25).standard_normal((9, 5)))
-        np.testing.assert_array_equal(stage.forward([x], "eval")[0], np.full((9, 5), 0.5))
+        np.testing.assert_array_equal(stage.forward(x, _one(x), "eval"), np.full((9, 5), 0.5))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_scalar_oracle(self, mode):
@@ -202,7 +237,7 @@ class TestStage:
         randomize_params(store, rng, scale=0.2)
         x = np.abs(rng.standard_normal((9, 4)))
         expected = ref_stage(x, stage, mode)
-        np.testing.assert_allclose(stage.forward([x], mode)[0], expected, atol=1e-10)
+        np.testing.assert_allclose(stage.forward(x, _one(x), mode), expected, atol=1e-10)
 
     def test_dilations_restart_per_stack(self):
         stage, _ = self._stage()
@@ -219,19 +254,19 @@ class TestFusionBlock:
         for name, p in store.params():
             if name.endswith(".bias") or name.endswith(".beta"):
                 p.value = np.zeros_like(p.value)
-        y = fusion.forward([np.zeros((5, 4))], [np.zeros((5, 4))])[0]
+        y = fusion.forward(np.zeros((5, 4)), np.zeros((5, 4)), (0, 4))
         np.testing.assert_array_equal(y, np.zeros((5, 4)))
 
     def test_output_shape(self):
         fusion, _ = self._fusion()
         rng = np.random.default_rng(29)
-        y = fusion.forward([rng.standard_normal((5, 7))], [rng.standard_normal((5, 7))])[0]
+        y = fusion.forward(rng.standard_normal((5, 7)), rng.standard_normal((5, 7)), (0, 7))
         assert y.shape == (5, 7)
 
     def test_shape_mismatch_rejected(self):
         fusion, _ = self._fusion()
         with pytest.raises(ValueError):
-            fusion.forward([np.zeros((5, 4))], [np.zeros((5, 3))])
+            fusion.forward(np.zeros((5, 4)), np.zeros((5, 3)), (0, 4))
 
     def test_matches_scalar_oracle(self):
         fusion, store = self._fusion(seed=30)
@@ -240,7 +275,7 @@ class TestFusionBlock:
         a = rng.standard_normal((5, 4))
         b = rng.standard_normal((5, 4))
         np.testing.assert_allclose(
-            fusion.forward([a], [b])[0], ref_fusion(a, b, fusion), atol=1e-10
+            fusion.forward(a, b, _one(a)), ref_fusion(a, b, fusion), atol=1e-10
         )
 
     def test_grad_both_inputs(self):
@@ -252,9 +287,9 @@ class TestFusionBlock:
 
         def fn_a(a):
             cache = {}
-            y = fusion.forward([a], [b], cache)[0]
+            y = fusion.forward(a, b, _one(a), cache)
             store.zero_grads()
-            da, _ = fusion.backward([c], cache)
-            return float((c * y).sum()), da[0]
+            da, _ = fusion.backward(c, cache)
+            return float((c * y).sum()), da
 
         assert nn.finite_diff_check(fn_a, rng.standard_normal((4, 5))) < 1e-4

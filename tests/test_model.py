@@ -230,6 +230,62 @@ class TestGradients:
         assert worst < 1e-3
 
 
+    def test_packed_batch_gradient_three_items(self):
+        # three unequal lengths: dilated taps, attention and global norms
+        # meet item boundaries, and batch norm couples the items
+        from stagemask.model import total_loss_batch
+
+        model = build_model(TOY)
+        rng = np.random.default_rng(31)
+        randomize_params(model.store, rng)
+        xs = [_toy_input(rng, t=t) for t in (5, 2, 8)]
+        cleans = [margined_clean(model, x, rng) for x in xs]
+        buffers = {n: b.copy() for n, b in model.store.buffers()}
+
+        def objective():
+            trace = model.forward_batch(xs, "train")
+            return float(np.mean(total_loss_batch(trace, cleans)[1]))
+
+        model.store.zero_grads()
+        trace = model.forward_batch(xs, "train")
+        gx = model.backward_batch(trace, cleans)
+        grads = {name: p.grad.copy() for name, p in model.store.params()}
+        names = [name for name, _ in model.store.params()]
+        h = 2e-5
+        worst = 0.0
+        for idx in rng.choice(len(names), size=20, replace=False):
+            p = model.store[names[idx]]
+            flat = int(rng.integers(p.value.size))
+            orig = p.value.copy()
+            p.value.reshape(-1)[flat] += h
+            up = objective()
+            p.value = orig
+            p.value.reshape(-1)[flat] -= h
+            down = objective()
+            p.value = orig
+            numeric = (up - down) / (2 * h)
+            analytic = grads[names[idx]].reshape(-1)[flat]
+            worst = max(worst, abs(analytic - numeric)
+                        / max(abs(analytic), abs(numeric), 1e-8))
+        # input gradient at the columns on either side of each item boundary
+        # (packed bounds 0, 5, 7, 15)
+        for item, local, col in ((0, 4, 4), (1, 0, 5), (1, 1, 6), (2, 0, 7)):
+            row = int(rng.integers(9))
+            bumped = [x.copy() for x in xs]
+            bumped[item][row, local] += h
+            trace_up = model.forward_batch(bumped, "train")
+            up = float(np.mean(total_loss_batch(trace_up, cleans)[1]))
+            bumped[item][row, local] -= 2 * h
+            trace_down = model.forward_batch(bumped, "train")
+            down = float(np.mean(total_loss_batch(trace_down, cleans)[1]))
+            numeric = (up - down) / (2 * h)
+            worst = max(worst, abs(gx[row, col] - numeric)
+                        / max(abs(gx[row, col]), abs(numeric), 1e-8))
+        for n, b in model.store.buffers():
+            b[...] = buffers[n]
+        assert worst < 1e-3
+
+
 class TestCounts:
     def test_sa_block_paper_geometry(self):
         cfg = ModelConfig(stages=1, hidden=8, bottleneck=4, stacks=1,

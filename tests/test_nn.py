@@ -11,6 +11,14 @@ def _functional(rng, shape):
 
 SEEDS = [0, 1, 2, 3, 4]
 
+# three packed items of unequal length, the middle one shorter than a
+# dilation-2 tap's reach
+BOUNDS = (0, 7, 9, 16)
+
+
+def _items(x, bounds=BOUNDS):
+    return [x[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
 
 class TestPointwiseConv:
     def test_identity_weight(self):
@@ -106,6 +114,51 @@ class TestDepthwiseDconv:
             return float((c * y).sum()), dk
 
         assert nn.finite_diff_check(fn_k, kernel) < 1e-4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_packed_equals_items(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 16))
+        kernel = rng.standard_normal((3, 3))
+        bias = rng.standard_normal(3)
+        dy = rng.standard_normal((3, 16))
+        packed = nn.depthwise_dconv(x, kernel, bias, 2, BOUNDS)
+        singles = [nn.depthwise_dconv(xi, kernel, bias, 2) for xi in _items(x)]
+        np.testing.assert_array_equal(packed, np.concatenate(singles, axis=1))
+        dx, dk, db = nn.depthwise_dconv_backward(dy, x, kernel, 2, BOUNDS)
+        per_item = [
+            nn.depthwise_dconv_backward(dyi, xi, kernel, 2)
+            for dyi, xi in zip(_items(dy), _items(x))
+        ]
+        np.testing.assert_array_equal(dx, np.concatenate([r[0] for r in per_item], axis=1))
+        np.testing.assert_allclose(dk, sum(r[1] for r in per_item), rtol=1e-12)
+        np.testing.assert_allclose(db, sum(r[2] for r in per_item), rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_grad_across_item_bounds(self, seed):
+        rng = np.random.default_rng(seed)
+        kernel = rng.standard_normal((3, 3))
+        bias = rng.standard_normal(3)
+        c = _functional(rng, (3, 16))
+
+        def fn_x(x):
+            y = nn.depthwise_dconv(x, kernel, bias, 2, BOUNDS)
+            dx, _, _ = nn.depthwise_dconv_backward(c, x, kernel, 2, BOUNDS)
+            return float((c * y).sum()), dx
+
+        x0 = rng.standard_normal((3, 16))
+        assert nn.finite_diff_check(fn_x, x0) < 1e-4
+
+        def fn_k(k):
+            y = nn.depthwise_dconv(x0, k, bias, 2, BOUNDS)
+            _, dk, _ = nn.depthwise_dconv_backward(c, x0, k, 2, BOUNDS)
+            return float((c * y).sum()), dk
+
+        assert nn.finite_diff_check(fn_k, kernel) < 1e-4
+
+    def test_bounds_must_span_input(self):
+        with pytest.raises(ValueError):
+            nn.depthwise_dconv(np.ones((2, 8)), np.ones((2, 3)), np.zeros(2), 1, (0, 3, 7))
 
 
 class TestPrelu:
@@ -234,6 +287,40 @@ class TestGlobalLayerNorm:
 
         assert nn.finite_diff_check(fn, rng.standard_normal((8, 5))) < 1e-4
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_packed_equals_items(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 16)) * 2 + 1
+        gamma = rng.uniform(0.5, 1.5, size=(4, 1))
+        beta = rng.standard_normal((4, 1))
+        dy = rng.standard_normal((4, 16))
+        packed = nn.global_layer_norm(x, gamma, beta, bounds=BOUNDS)
+        singles = [nn.global_layer_norm(xi.copy(), gamma, beta) for xi in _items(x)]
+        np.testing.assert_allclose(packed, np.concatenate(singles, axis=1), atol=1e-12)
+        dx, dgamma, dbeta = nn.global_layer_norm_backward(dy, x, gamma, bounds=BOUNDS)
+        per_item = [
+            nn.global_layer_norm_backward(dyi, xi.copy(), gamma)
+            for dyi, xi in zip(_items(dy), _items(x))
+        ]
+        np.testing.assert_allclose(
+            dx, np.concatenate([r[0] for r in per_item], axis=1), atol=1e-12
+        )
+        np.testing.assert_allclose(dgamma, sum(r[1] for r in per_item), atol=1e-12)
+        np.testing.assert_allclose(dbeta, sum(r[2] for r in per_item), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_grad_segmented(self, seed):
+        rng = np.random.default_rng(seed)
+        gamma = rng.uniform(0.5, 1.5, size=(4, 1))
+        c = _functional(rng, (4, 16))
+
+        def fn(x):
+            y = nn.global_layer_norm(x, gamma, np.zeros((4, 1)), bounds=BOUNDS)
+            dx, _, _ = nn.global_layer_norm_backward(c, x, gamma, bounds=BOUNDS)
+            return float((c * y).sum()), dx
+
+        assert nn.finite_diff_check(fn, rng.standard_normal((4, 16))) < 1e-4
+
 
 class TestSoftmaxColumns:
     @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -269,9 +356,29 @@ class TestSoftmaxColumns:
         assert nn.finite_diff_check(fn, rng.standard_normal((5, 4))) < 1e-4
 
 
+def _two_branch_sigmoid(x):
+    """The former gather/scatter formulation, kept as the bit-level reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestSigmoid:
     def test_zero(self):
         assert nn.sigmoid(np.array([0.0]))[0] == 0.5
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bit_identical_to_two_branch_form(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((65, 62)) * [0.1, 1.0, 10.0, 100.0, 1000.0][seed]
+        x.reshape(-1)[:10] = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300,
+                              np.inf, -np.inf, 5e-324, -5e-324]
+        new, old = nn.sigmoid(x), _two_branch_sigmoid(x)
+        np.testing.assert_array_equal(new, old)
+        np.testing.assert_array_equal(np.signbit(new), np.signbit(old))
 
     def test_saturation_no_overflow(self):
         y = nn.sigmoid(np.array([40.0, -40.0]))
@@ -388,6 +495,35 @@ class TestParamStore:
         p.grad += 5.0
         store.zero_grads()
         assert np.all(p.grad == 0.0)
+
+    def test_flat_views_share_storage(self):
+        store = nn.ParamStore()
+        a = store.register("a", np.ones((2, 3)))
+        b = store.register("b", np.array([0.5, 0.25]))
+        a.grad += 2.0
+        values, grads = store.flat()
+        np.testing.assert_array_equal(values, [1, 1, 1, 1, 1, 1, 0.5, 0.25])
+        np.testing.assert_array_equal(grads, [2, 2, 2, 2, 2, 2, 0, 0])
+        b.value = np.array([3.0, 4.0])  # assignment writes through
+        a.value.reshape(-1)[0] = 7.0
+        np.testing.assert_array_equal(values[[0, 6, 7]], [7.0, 3.0, 4.0])
+        grads[7] = 9.0
+        assert b.grad[1] == 9.0
+        assert [name for name, _ in store.views(values)] == ["a", "b"]
+        assert store.flat()[0] is values
+
+    def test_assignment_shape_checked(self):
+        store = nn.ParamStore()
+        p = store.register("w", np.zeros(3))
+        with pytest.raises(ValueError):
+            p.value = np.zeros(4)
+
+    def test_register_after_packing_rejected(self):
+        store = nn.ParamStore()
+        store.register("w", np.zeros(3))
+        store.flat()
+        with pytest.raises(ValueError):
+            store.register("late", np.zeros(2))
 
     def test_values_float32_clean(self):
         store = nn.ParamStore()

@@ -1,7 +1,11 @@
+import hashlib
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stagemask import dsp, nn
+from stagemask import cli, dsp, nn
 from stagemask.audio import synth_toy_dataset
 from stagemask.model import ModelConfig, build_model, total_loss, total_loss_batch
 from stagemask.train import (
@@ -21,6 +25,17 @@ TOY = ModelConfig(
     stages=2, hidden=6, bottleneck=4, stacks=1, blocks_per_stack=2,
     fft_size=64, hop=32, seed=3,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# toy_satcn001.ckpt was written by the per-tensor implementation that preceded
+# the flat parameter buffer: ModelConfig(stages=3, hidden=8, bottleneck=4,
+# stacks=1, blocks_per_stack=2, kernel=3, fft_size=32, hop=16, seed=21) fit
+# with TrainConfig(lr=1e-3, batch=2, epochs=2, seed=4) on the first 3 items of
+# synth_toy_dataset(4, SynthConfig(duration=0.25), seed=31); toy_noisy.wav is
+# the 4th item's noisy mix.  The same code recorded both digests below.
+FIXTURE_TENSORS_SHA256 = "2ab86d69230a9b28042552f7865565d1618678e711c18f2bd82b404389fa611c"
+FIXTURE_ENHANCE_SHA256 = "08e08c3615da89ab0386557b3c37e13adfc114fba646875c2c4a7abc2ea83ebf"
 
 
 def _toy_pairs(n=4, seed=0, duration=0.2):
@@ -90,6 +105,64 @@ class TestAdam:
         assert p.value[0] != 0.0
 
 
+def _per_tensor_adam(values, grads, m, v, step, cfg):
+    """The former per-tensor Adam loop, kept as the reference; updates the
+    name-keyed dicts in place."""
+    if cfg.clip_norm is not None:
+        norm = sum(float((g ** 2).sum()) for g in grads.values()) ** 0.5
+        if norm > cfg.clip_norm:
+            for g in grads.values():
+                g *= cfg.clip_norm / norm
+    bc1 = 1.0 - cfg.beta1 ** step
+    bc2 = 1.0 - cfg.beta2 ** step
+    for name, g in grads.items():
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * g ** 2
+        update = cfg.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+        values[name] = nn.f32_clean(values[name] - update)
+
+
+class TestFlatAdamMatchesPerTensorLoop:
+    SHAPES = {"a.weight": (5, 3), "a.bias": (5,), "b.kernel": (4, 3), "delta": (1,)}
+
+    def _run(self, cfg, steps=6):
+        rng = np.random.default_rng(17)
+        store = nn.ParamStore()
+        for name, shape in self.SHAPES.items():
+            store.register(name, rng.standard_normal(shape))
+        state = AdamState(store)
+        values = {name: p.value.copy() for name, p in store.params()}
+        m = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        v = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        for step in range(1, steps + 1):
+            grads = {name: rng.standard_normal(shape) * 3.0
+                     for name, shape in self.SHAPES.items()}
+            for name, p in store.params():
+                p.grad[...] = grads[name]
+            adam_step(store, state, cfg)
+            _per_tensor_adam(values, grads, m, v, step, cfg)
+        new = {name: p.value for name, p in store.params()}
+        return (new, dict(store.views(state.m)), dict(store.views(state.v))), (values, m, v)
+
+    def test_bit_equal_without_clipping(self):
+        got, want = self._run(TrainConfig(lr=1e-2))
+        for got_d, want_d in zip(got, want):
+            for name in self.SHAPES:
+                np.testing.assert_array_equal(got_d[name], want_d[name])
+
+    def test_close_with_clipping(self):
+        # the norm's summation order changed: moments agree to a few float64
+        # ulps, values to one float32 ulp (a rounding may flip)
+        got, want = self._run(TrainConfig(lr=1e-2, clip_norm=1.0))
+        (values, m, v), (ref_values, ref_m, ref_v) = got, want
+        for name in self.SHAPES:
+            np.testing.assert_allclose(m[name], ref_m[name], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(v[name], ref_v[name], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(values[name], ref_values[name], rtol=2.0 ** -23)
+
+
 class TestPadBatch:
     def test_equal_lengths_no_padding(self):
         pairs = _toy_pairs(n=3, seed=1)
@@ -137,7 +210,7 @@ class TestPadBatch:
             s_mag, _ = dsp.stft(clean, win)
             single = model.forward(x_mag.values, "eval")
             singles.append(total_loss(single, s_mag.values)[1])
-        assert abs(batch_total - np.mean(singles)) < 1e-6
+        assert abs(batch_total - np.mean(singles)) < 1e-12
 
     def test_train_mode_losses_ignore_padding(self):
         # same batch with and without tail padding gives identical train-mode
@@ -314,6 +387,61 @@ class TestCheckpoint:
         padded.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
             load_checkpoint(padded)
+
+
+    def _fixture_tensors_sha256(self, model, state):
+        h = hashlib.sha256()
+        for _, p in model.store.params():
+            h.update(p.value.tobytes())
+        for _, b in model.store.buffers():
+            h.update(b.tobytes())
+        h.update(state.m.tobytes())
+        h.update(state.v.tobytes())
+        return h.hexdigest()
+
+    def test_earlier_file_loads_bit_exactly(self, tmp_path):
+        src = FIXTURES / "toy_satcn001.ckpt"
+        model, state = load_checkpoint(src)
+        assert state.step == 2
+        assert self._fixture_tensors_sha256(model, state) == FIXTURE_TENSORS_SHA256
+        save_checkpoint(model, tmp_path / "again.ckpt", state)
+        assert (tmp_path / "again.ckpt").read_bytes() == src.read_bytes()
+
+    def test_earlier_file_enhances_to_recorded_pcm(self, tmp_path):
+        out = tmp_path / "enhanced.wav"
+        rc = cli.run(["enhance", "--ckpt", str(FIXTURES / "toy_satcn001.ckpt"),
+                      "--in", str(FIXTURES / "toy_noisy.wav"), "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXTURE_ENHANCE_SHA256
+
+    def _enhance_corrupt(self, tmp_path, capsys, patch):
+        data = bytearray((FIXTURES / "toy_satcn001.ckpt").read_bytes())
+        name_len = struct.unpack_from("<i", data, 52)[0]
+        patch(data, 56, 56 + name_len + 4)  # first name, first extent
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(data))
+        rc = cli.run(["enhance", "--ckpt", str(bad),
+                      "--in", str(FIXTURES / "toy_noisy.wav"),
+                      "--out", str(tmp_path / "o.wav")])
+        return rc, capsys.readouterr().err
+
+    def test_non_utf8_name_exits_2_at_its_offset(self, tmp_path, capsys):
+        def patch(data, name_at, _):
+            data[name_at + 3] = 0xFF
+
+        rc, err = self._enhance_corrupt(tmp_path, capsys, patch)
+        assert rc == 2
+        assert "not UTF-8" in err and "(offset 59)" in err
+
+    def test_negative_extent_exits_2_at_its_offset(self, tmp_path, capsys):
+        def patch(data, _, extent_at):
+            struct.pack_into("<i", data, extent_at, -1)
+
+        rc, err = self._enhance_corrupt(tmp_path, capsys, patch)
+        assert rc == 2
+        assert "negative extent -1" in err
+        # 52-byte header, name length, "stage1.sa.wq.weight" (19 bytes), rank
+        assert f"(offset {56 + 19 + 4})" in err
 
 
 class TestDeterminism:
