@@ -11,7 +11,7 @@ from .dsp import (
     stft,
 )
 from .blocks import receptive_field
-from .model import ModelConfig, MultiStageModel, build_model, total_loss
+from .model import BatchTrace, ModelConfig, MultiStageModel, total_loss_batch
 from .train import (
     AdamState,
     FormatError,
@@ -44,10 +44,10 @@ __all__ = [
     "istft",
     "stft",
     "receptive_field",
+    "BatchTrace",
     "ModelConfig",
     "MultiStageModel",
-    "build_model",
-    "total_loss",
+    "total_loss_batch",
     "AdamState",
     "FormatError",
     "TrainConfig",

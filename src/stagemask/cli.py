@@ -147,7 +147,7 @@ def cmd_enhance(args) -> int:
         raise InputError(
             f"input is shorter ({len(wav)}) than one frame ({model.config.fft_size})"
         )
-    enhanced = model.enhance(wav)
+    enhanced, _ = model.enhance(wav)
     audio.write_wav(args.out, enhanced)
     return EXIT_OK
 

@@ -1,9 +1,9 @@
 """Plain-text run configuration: `key = value` lines, `#` comment lines.
 
 Unknown keys are rejected with the offending line number, and every value is
-validated before any work starts.  Missing keys fall back to the defaults
-below (the large-model geometry for the model, the standard recipe for
-training).
+validated before any work starts.  Missing keys fall back to the dataclass
+defaults of ``ModelConfig`` (the paper geometry) and ``TrainConfig`` (the
+standard recipe), which are the only copies of them.
 """
 
 from __future__ import annotations
@@ -19,33 +19,29 @@ class ConfigError(ValueError):
     pass
 
 
+# file key -> (dataclass field, type)
 _MODEL_KEYS = {
-    "stages": int,
-    "hidden": int,
-    "bottleneck": int,
-    "stacks": int,
-    "blocks": int,
-    "kernel": int,
-    "fft_size": int,
-    "hop": int,
-    "seed": int,
+    "stages": ("stages", int),
+    "hidden": ("hidden", int),
+    "bottleneck": ("bottleneck", int),
+    "stacks": ("stacks", int),
+    "blocks": ("blocks_per_stack", int),
+    "kernel": ("kernel", int),
+    "fft_size": ("fft_size", int),
+    "hop": ("hop", int),
+    "seed": ("seed", int),
 }
 _TRAIN_KEYS = {
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "adam_eps": float,
-    "batch": int,
-    "epochs": int,
-    "train_seed": int,
-    "clip_norm": float,
+    "lr": ("lr", float),
+    "beta1": ("beta1", float),
+    "beta2": ("beta2", float),
+    "adam_eps": ("eps", float),
+    "batch": ("batch", int),
+    "epochs": ("epochs", int),
+    "train_seed": ("seed", int),
+    "clip_norm": ("clip_norm", float),
 }
 _PATH_KEYS = ("train_manifest", "checkpoint")
-
-_MODEL_DEFAULTS = dict(
-    stages=5, hidden=256, bottleneck=128, stacks=3, blocks=8,
-    kernel=3, fft_size=512, hop=256, seed=0,
-)
 
 
 @dataclass(frozen=True)
@@ -78,33 +74,14 @@ def parse_config_file(path: str) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
             raw[key] = value
 
-    def typed(key, caster, default):
-        if key not in raw:
-            return default
+    def typed(key, caster):
         try:
             return caster(raw[key])
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {raw[key]!r}") from exc
 
-    model_kwargs = {
-        name: typed(key, int, _MODEL_DEFAULTS[key])
-        for key, name in (
-            ("stages", "stages"), ("hidden", "hidden"), ("bottleneck", "bottleneck"),
-            ("stacks", "stacks"), ("blocks", "blocks_per_stack"), ("kernel", "kernel"),
-            ("fft_size", "fft_size"), ("hop", "hop"), ("seed", "seed"),
-        )
-    }
-    train_defaults = TrainConfig()
-    train_kwargs = dict(
-        lr=typed("lr", float, train_defaults.lr),
-        beta1=typed("beta1", float, train_defaults.beta1),
-        beta2=typed("beta2", float, train_defaults.beta2),
-        eps=typed("adam_eps", float, train_defaults.eps),
-        batch=typed("batch", int, train_defaults.batch),
-        epochs=typed("epochs", int, train_defaults.epochs),
-        seed=typed("train_seed", int, train_defaults.seed),
-        clip_norm=typed("clip_norm", float, None),
-    )
+    model_kwargs = {f: typed(k, c) for k, (f, c) in _MODEL_KEYS.items() if k in raw}
+    train_kwargs = {f: typed(k, c) for k, (f, c) in _TRAIN_KEYS.items() if k in raw}
     try:
         model_cfg = ModelConfig(**model_kwargs)
         train_cfg = TrainConfig(**train_kwargs)
@@ -116,15 +93,4 @@ def parse_config_file(path: str) -> RunConfig:
 
 
 def default_run_config() -> RunConfig:
-    return RunConfig(
-        ModelConfig(
-            stages=_MODEL_DEFAULTS["stages"],
-            hidden=_MODEL_DEFAULTS["hidden"],
-            bottleneck=_MODEL_DEFAULTS["bottleneck"],
-            stacks=_MODEL_DEFAULTS["stacks"],
-            blocks_per_stack=_MODEL_DEFAULTS["blocks"],
-        ),
-        TrainConfig(),
-        None,
-        None,
-    )
+    return RunConfig(ModelConfig(), TrainConfig(), None, None)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsp, nn
-from .model import MultiStageModel
+from . import dsp
+from .model import MultiStageModel, total_loss_batch
 
 # Perfect reconstructions report +100 dB instead of infinity.
 CAP_DB = 100.0
@@ -113,28 +113,23 @@ class MetricReport:
 
 
 def evaluate_set(
-    model: MultiStageModel,
-    pairs: list[tuple[dsp.Waveform, dsp.Waveform]],
-    mask_hook=None,
+    model: MultiStageModel, pairs: list[tuple[dsp.Waveform, dsp.Waveform]]
 ) -> MetricReport:
     """Enhance every (noisy, clean) pair and collect waveform and spectral
-    metrics; the mask_hook passes straight through to the model (test use)."""
+    metrics.  One forward per item: each stage-L1 row scores ``enhance``'s own
+    trace against the clean magnitude framed the same way (``model.analyze``).
+    """
     if not pairs:
         raise ValueError("cannot evaluate an empty set")
-    win = dsp.hann_window(model.config.fft_size, model.config.hop)
     si_noisy, si_enh, sn_noisy, sn_enh, stage_rows = [], [], [], [], []
     for noisy, clean in pairs:
-        enhanced = model.enhance(noisy, mask_hook=mask_hook)
+        enhanced, trace = model.enhance(noisy)
         si_noisy.append(si_sdr(noisy, clean))
         si_enh.append(si_sdr(enhanced, clean))
         sn_noisy.append(snr_db(noisy, clean))
         sn_enh.append(snr_db(enhanced, clean))
-        x_mag, _ = dsp.stft(noisy, win)
-        s_mag, _ = dsp.stft(clean, win)
-        trace = model.forward(x_mag.values, "eval", mask_hook=mask_hook)
-        stage_rows.append(tuple(
-            nn.mean_abs_loss(est, s_mag.values) for est in trace.estimates[1:]
-        ))
+        stage_l1, _ = total_loss_batch(trace, [model.analyze(clean)[0].values])
+        stage_rows.append(tuple(stage_l1))
     return MetricReport(
         tuple(si_noisy), tuple(si_enh), tuple(sn_noisy), tuple(sn_enh),
         tuple(stage_rows),

@@ -9,8 +9,9 @@ shrink: ``est[k] = mask[k] * est[k-1]`` with ``est[0]`` the input.
 array with item bounds (see ``blocks``), and every tensor of the resulting
 trace is packed the same way.  Batch normalization couples the items in train
 mode (statistics over batch x time); everything else treats them
-independently.  ``forward``/``backward`` wrap the batched path for the common
-single-utterance case, where the packed array is the utterance itself.
+independently.  A single utterance is a batch of one: ``enhance`` runs
+``forward_batch([mag])`` on the magnitude that ``analyze`` produces and hands
+the trace back, so per-stage losses come from the same forward.
 """
 
 from __future__ import annotations
@@ -27,13 +28,17 @@ from .nn import Array, ParamStore
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Structural hyper-parameters plus the STFT geometry and init seed."""
+    """Structural hyper-parameters plus the STFT geometry and init seed.
 
-    stages: int
-    hidden: int
-    bottleneck: int
-    stacks: int
-    blocks_per_stack: int
+    The defaults are the paper geometry, and the only model defaults: config
+    files and the CLI fall back to them.
+    """
+
+    stages: int = 5
+    hidden: int = 256
+    bottleneck: int = 128
+    stacks: int = 3
+    blocks_per_stack: int = 8
     kernel: int = 3
     fft_size: int = 512
     hop: int = 256
@@ -81,17 +86,6 @@ class BatchTrace:
         return len(self.bounds) - 1
 
 
-@dataclass
-class ForwardTrace:
-    """Single-utterance view over a batch-of-one trace."""
-
-    input: Array
-    masks: list[Array]
-    estimates: list[Array]  # estimates[0] is the input, estimates[k] after stage k
-    mode: str
-    batch: BatchTrace
-
-
 class MultiStageModel:
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -122,21 +116,13 @@ class MultiStageModel:
             raise ValueError("input magnitude must be non-negative")
         return x
 
-    def forward_batch(
-        self, xs: list[Array], mode: str = "eval", mask_hook=None
-    ) -> BatchTrace:
-        """Run all stages once over the packed mini-batch.
-
-        ``mask_hook(stage_index, mask) -> mask`` substitutes each stage's
-        packed mask right after the sigmoid (eval-mode test hook only).
-        """
+    def forward_batch(self, xs: list[Array], mode: str = "eval") -> BatchTrace:
+        """Run all stages once over the packed mini-batch."""
         if not xs:
             raise ValueError("empty batch")
         xs = [self._check_input(x) for x in xs]
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        if mode == "train" and mask_hook is not None:
-            raise ValueError("mask_hook is an eval-only test hook")
 
         x = np.concatenate(xs, axis=1)
         bounds = (0, *itertools.accumulate(item.shape[1] for item in xs))
@@ -161,16 +147,10 @@ class MultiStageModel:
             mask = stage.forward(xin, bounds, mode, sc)
             if train:
                 stage_caches.append(sc)
-            if mask_hook is not None:
-                mask = mask_hook(k, mask)
             masks.append(mask)
             estimates.append(mask * estimates[k - 1])
         return BatchTrace(x, bounds, masks, estimates, mode, stage_caches,
                           fusion_caches)
-
-    def forward(self, x: Array, mode: str = "eval", mask_hook=None) -> ForwardTrace:
-        batch = self.forward_batch([x], mode, mask_hook)
-        return ForwardTrace(batch.inputs, batch.masks, batch.estimates, mode, batch)
 
     # -- backward -----------------------------------------------------------
 
@@ -182,8 +162,7 @@ class MultiStageModel:
         inputs."""
         if trace.mode != "train":
             raise ValueError("backward needs a trace from a train-mode forward")
-        if len(cleans) != trace.n_items:
-            raise ValueError(f"{len(cleans)} targets for {trace.n_items} items")
+        cleans = _check_targets(trace, cleans)
         k_stages = self.config.stages
         x = trace.inputs
         est = trace.estimates
@@ -218,37 +197,33 @@ class MultiStageModel:
         gx += g_est[0]
         return gx
 
-    def backward(self, trace: ForwardTrace, clean: Array, scale: float = 1.0) -> Array:
-        return self.backward_batch(trace.batch, [clean], scale)
-
     # -- inference ----------------------------------------------------------
 
-    def enhance(self, x: dsp.Waveform, mask_hook=None) -> dsp.Waveform:
-        """Full pipeline: analyze, mask through all stages, resynthesize with
-        the input's own phase, truncate to the input length.
-
-        One hop of zeros is added on each side before analysis and sliced off
-        after synthesis: overlap-add division is ill-conditioned for masked
-        spectra at samples the window barely covers, so every real sample is
-        kept in fully-overlapped territory instead.
-        """
+    def analyze(self, x: dsp.Waveform) -> tuple[dsp.Spectrogram, dsp.PhaseMatrix]:
+        """STFT of ``x`` with one hop of zeros on each side, which keeps every
+        real sample where frames fully overlap: overlap-add division is
+        ill-conditioned for masked spectra where the window barely reaches."""
         if len(x) < self.config.fft_size:
             raise ValueError(
                 f"input length {len(x)} is shorter than one frame "
                 f"({self.config.fft_size})"
             )
         hop = self.config.hop
-        win = dsp.hann_window(self.config.fft_size, hop)
         padded = dsp.Waveform(
             np.concatenate([np.zeros(hop), x.samples, np.zeros(hop)]), x.sample_rate
         )
-        mag, phase = dsp.stft(padded, win)
-        trace = self.forward(mag.values, "eval", mask_hook=mask_hook)
-        out_mag = dsp.Spectrogram(
-            trace.estimates[-1], hop, self.config.fft_size
-        )
+        return dsp.stft(padded, dsp.hann_window(self.config.fft_size, hop))
+
+    def enhance(self, x: dsp.Waveform) -> tuple[dsp.Waveform, BatchTrace]:
+        """``analyze``, mask through all stages, resynthesize with the input's
+        own phase; returns the input-length waveform and the forward's trace."""
+        mag, phase = self.analyze(x)
+        trace = self.forward_batch([mag.values], "eval")
+        hop = self.config.hop
+        out_mag = dsp.Spectrogram(trace.estimates[-1], hop, self.config.fft_size)
+        win = dsp.hann_window(self.config.fft_size, hop)
         out = dsp.istft(out_mag, phase, win, hop + len(x), x.sample_rate)
-        return dsp.Waveform(out.samples[hop:], x.sample_rate)
+        return dsp.Waveform(out.samples[hop:], x.sample_rate), trace
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -270,33 +245,29 @@ class MultiStageModel:
         }
 
 
-def build_model(config: ModelConfig) -> MultiStageModel:
-    """Deterministic seeded construction; same config twice gives
-    bit-identical parameters."""
-    return MultiStageModel(config)
-
-
-def total_loss(trace: ForwardTrace, clean: Array) -> tuple[list[float], float]:
-    """Per-stage mean absolute spectral errors and their sum.
-
-    Stage k's loss compares ``mask[k] * est[k-1]`` (already cached as
-    ``est[k]``) against the clean magnitude.
-    """
-    clean = np.asarray(clean, dtype=np.float64)
-    if clean.shape != trace.input.shape:
-        raise ValueError(
-            f"clean shape {clean.shape} != input shape {trace.input.shape}"
-        )
-    per_stage, totals = total_loss_batch(trace.batch, [clean])
-    return per_stage, totals[0]
+def _check_targets(trace: BatchTrace, cleans: list[Array]) -> list[Array]:
+    """One clean magnitude per item, each shaped like its item."""
+    if len(cleans) != trace.n_items:
+        raise ValueError(f"{len(cleans)} targets for {trace.n_items} items")
+    cleans = [np.asarray(clean, dtype=np.float64) for clean in cleans]
+    f_bins = trace.inputs.shape[0]
+    for i, (clean, t_item) in enumerate(zip(cleans, np.diff(trace.bounds))):
+        if clean.shape != (f_bins, t_item):
+            raise ValueError(
+                f"target {i} has shape {clean.shape}, its item {(f_bins, int(t_item))}"
+            )
+    return cleans
 
 
 def total_loss_batch(
     trace: BatchTrace, cleans: list[Array]
 ) -> tuple[list[float], list[float]]:
-    """Stage means over the batch and per-item totals (equal item weight)."""
-    if len(cleans) != trace.n_items:
-        raise ValueError(f"{len(cleans)} targets for {trace.n_items} items")
+    """Stage means over the batch and per-item totals (equal item weight).
+
+    Item i's stage-k loss is the mean absolute error of ``est[k]`` (already
+    ``mask[k] * est[k-1]``) against ``cleans[i]``.
+    """
+    cleans = _check_targets(trace, cleans)
     items = nn.segments(trace.bounds, trace.inputs.shape[1])
     per_item_stage = [
         [nn.mean_abs_loss(est[:, lo:hi], clean) for est in trace.estimates[1:]]

@@ -10,7 +10,9 @@ with a few whole-vector operations.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -233,6 +235,9 @@ def _tensor_bytes(name: str, value: Array) -> bytes:
 def save_checkpoint(
     model: MultiStageModel, path: str, state: AdamState | None = None
 ):
+    """Write the checkpoint atomically: a sibling temp file is written,
+    fsynced and renamed onto ``path``, so a failure at any point leaves the
+    previous file as it was."""
     cfg = model.config
     tensors: list[tuple[str, Array]] = []
     tensors += [(name, p.value) for name, p in model.store.params()]
@@ -241,16 +246,26 @@ def save_checkpoint(
         tensors += [(f"adam.m.{name}", m) for name, m in model.store.views(state.m)]
         tensors += [(f"adam.v.{name}", v) for name, v in model.store.views(state.v)]
         tensors.append(("adam.step", np.array([float(state.step)])))
-    blob = [
+    header = [
         CHECKPOINT_MAGIC,
         struct.pack("<8i", cfg.stages, cfg.hidden, cfg.bottleneck, cfg.stacks,
                     cfg.blocks_per_stack, cfg.kernel, cfg.fft_size, cfg.hop),
         struct.pack("<q", cfg.seed),
         struct.pack("<i", len(tensors)),
     ]
-    blob += [_tensor_bytes(name, value) for name, value in tensors]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(header))
+            for name, value in tensors:
+                fh.write(_tensor_bytes(name, value))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -223,11 +223,20 @@ def randomize_params(store, rng, scale=0.3):
         p.value = f32_clean(p.value + rng.uniform(-scale, scale, size=p.value.shape))
 
 
+def constant_masks(monkeypatch, model, value):
+    """Make every stage of ``model`` emit a constant mask (eval forwards)."""
+    for stage in model.stages:
+        monkeypatch.setattr(
+            stage, "forward",
+            lambda xin, bounds, mode, cache=None: np.full_like(xin, value),
+        )
+
+
 def margined_clean(model, x, rng, margin=0.05):
     """Clean target sitting at least ``margin`` away from every stage
     estimate, entrywise, so the absolute-error loss is smooth around a
     finite-difference evaluation point."""
-    trace = model.forward(x, "eval")
+    trace = model.forward_batch([x], "eval")
     ests = np.stack(trace.estimates[1:])
     above = ests.max(axis=0) + rng.uniform(margin, 3 * margin, size=x.shape)
     below = ests.min(axis=0) - rng.uniform(margin, 3 * margin, size=x.shape)

@@ -14,7 +14,7 @@ import pytest
 from stagemask import dsp, nn
 from stagemask.audio import mix_at_snr
 from stagemask.blocks import SABlock, TCNBlock, receptive_field
-from stagemask.model import ModelConfig, build_model, total_loss
+from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
 from reference import margined_clean, randomize_params
 
@@ -78,7 +78,7 @@ def overfit(tmp_path_factory):
 def test_criterion_1_parameter_counts():
     large = ModelConfig(stages=5, hidden=256, bottleneck=128, stacks=3,
                         blocks_per_stack=8)
-    counts = build_model(large).count_parameters()
+    counts = MultiStageModel(large).count_parameters()
     assert counts["sa_block"] == 3 * (257 * 257 + 257) + 1 == 198_919
     assert abs(counts["sa_block"] - 200_000) <= 0.02 * 200_000
     assert counts["tcn_blocks"] == 1_643_520
@@ -223,13 +223,13 @@ def test_criterion_4_gradient_correctness():
     # keeps a margin from every stage estimate so no |.| kink is crossed
     toy = ModelConfig(stages=3, hidden=6, bottleneck=4, stacks=2,
                       blocks_per_stack=3, fft_size=16, hop=8, seed=5)
-    model = build_model(toy)
+    model = MultiStageModel(toy)
     randomize_params(model.store, rng)
     x = np.abs(rng.standard_normal((9, 6)))
     clean = margined_clean(model, x, rng)
     model.store.zero_grads()
-    trace = model.forward(x, "train")
-    model.backward(trace, clean)
+    trace = model.forward_batch([x], "train")
+    model.backward_batch(trace, [clean])
     grads = {name: p.grad.copy() for name, p in model.store.params()}
     names = [name for name, _ in model.store.params()]
     # small step: deep compositions put rectifier kinks close together
@@ -241,10 +241,10 @@ def test_criterion_4_gradient_correctness():
         orig = p.value.copy()
         p.value = orig.copy()
         p.value.reshape(-1)[flat] += h
-        up = total_loss(model.forward(x, "train"), clean)[1]
+        up = total_loss_batch(model.forward_batch([x], "train"), [clean])[1][0]
         p.value = orig.copy()
         p.value.reshape(-1)[flat] -= h
-        down = total_loss(model.forward(x, "train"), clean)[1]
+        down = total_loss_batch(model.forward_batch([x], "train"), [clean])[1][0]
         p.value = orig
         numeric = (up - down) / (2 * h)
         analytic = grads[names[idx]].reshape(-1)[flat]
@@ -278,9 +278,9 @@ def test_criterion_5_architectural_identities():
 
     toy = ModelConfig(stages=3, hidden=6, bottleneck=4, stacks=1,
                       blocks_per_stack=2, fft_size=16, hop=8, seed=6)
-    model = build_model(toy)
+    model = MultiStageModel(toy)
     randomize_params(model.store, rng)
-    trace = model.forward(np.abs(rng.standard_normal((9, 8))), "eval")
+    trace = model.forward_batch([np.abs(rng.standard_normal((9, 8)))], "eval")
     for mask in trace.masks:
         assert np.all(mask > 0.0) and np.all(mask < 1.0)
     for k in range(1, len(trace.estimates)):

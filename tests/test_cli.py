@@ -6,6 +6,7 @@ import pytest
 
 from stagemask import dsp
 from stagemask.audio import read_wav, write_wav
+from stagemask.config import default_run_config, parse_config_file
 
 
 def run_cli(*args, cwd=None):
@@ -59,6 +60,11 @@ class TestInfo:
         result = run_cli("info", "--config", cfg)
         assert result.returncode == 0
         assert parse_kv(result.stdout)["freq_bins"] == "257"
+
+    def test_empty_config_parses_to_defaults(self, tmp_path):
+        cfg = tmp_path / "empty.conf"
+        cfg.write_text("# all defaults\n")
+        assert parse_config_file(str(cfg)) == default_run_config()
 
     def test_single_stage_no_fusions(self, tmp_path):
         cfg = tmp_path / "one.conf"

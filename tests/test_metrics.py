@@ -4,7 +4,9 @@ import pytest
 from stagemask import dsp
 from stagemask.audio import SynthConfig, synth_toy_dataset
 from stagemask.metrics import evaluate_set, si_sdr, snr_db
-from stagemask.model import ModelConfig, build_model
+from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
+
+from reference import constant_masks, randomize_params
 
 
 def _ref(seed=0, n=2048):
@@ -91,11 +93,11 @@ class TestEvaluateSet:
     def _model_and_pairs(self):
         cfg = ModelConfig(stages=2, hidden=6, bottleneck=4, stacks=1,
                           blocks_per_stack=2, fft_size=64, hop=32, seed=1)
-        model = build_model(cfg)
+        model = MultiStageModel(cfg)
         items = synth_toy_dataset(3, SynthConfig(duration=0.25), seed=2)
         return model, [(it.noisy, it.clean) for it in items]
 
-    def test_identity_hook_matches_noisy_metrics(self):
+    def test_identity_hook_matches_noisy_metrics(self, monkeypatch):
         # fade edges like real recordings: the first sample falls under the
         # zero of the analysis window and cannot survive a round trip
         model, pairs = self._model_and_pairs()
@@ -107,11 +109,38 @@ class TestEvaluateSet:
              dsp.Waveform(clean.samples * ramp, clean.sample_rate))
             for noisy, clean in pairs
         ]
-        report = evaluate_set(
-            model, faded, mask_hook=lambda k, m: np.ones_like(m)
-        )
+        constant_masks(monkeypatch, model, 1.0)
+        report = evaluate_set(model, faded)
         for noisy_db, enh_db in zip(report.si_sdr_noisy, report.si_sdr_enhanced):
             assert abs(noisy_db - enh_db) < 0.01
+
+    def test_one_forward_per_item(self, monkeypatch):
+        model, pairs = self._model_and_pairs()
+        batch_sizes = []
+        forward_batch = model.forward_batch
+
+        def counted(xs, mode="eval"):
+            batch_sizes.append(len(xs))
+            return forward_batch(xs, mode)
+
+        monkeypatch.setattr(model, "forward_batch", counted)
+        evaluate_set(model, pairs)
+        assert batch_sizes == [1] * len(pairs)
+
+    def test_stage_l1_scores_the_enhance_trace(self):
+        # the clean target is framed like the enhanced input: one hop of
+        # zeros on each side
+        model, pairs = self._model_and_pairs()
+        randomize_params(model.store, np.random.default_rng(3))
+        report = evaluate_set(model, pairs)
+        hop = model.config.hop
+        win = dsp.hann_window(model.config.fft_size, hop)
+        for row, (noisy, clean) in zip(report.stage_l1, pairs):
+            _, trace = model.enhance(noisy)
+            padded = np.concatenate([np.zeros(hop), clean.samples, np.zeros(hop)])
+            target = dsp.stft(dsp.Waveform(padded, clean.sample_rate), win)[0]
+            stage_l1, _ = total_loss_batch(trace, [target.values])
+            assert row == tuple(stage_l1)
 
     def test_means_are_arithmetic_means(self):
         model, pairs = self._model_and_pairs()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from stagemask import dsp
-from stagemask.model import ModelConfig, build_model, total_loss
+from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
-from reference import margined_clean, randomize_params, ref_cascade_loss
+from reference import (
+    constant_masks, margined_clean, randomize_params, ref_cascade_loss,
+)
 
 TOY = ModelConfig(
     stages=3, hidden=6, bottleneck=4, stacks=2, blocks_per_stack=3,
@@ -20,22 +22,28 @@ class TestBuild:
     def test_single_stage_has_no_fusions(self):
         cfg = ModelConfig(stages=1, hidden=4, bottleneck=3, stacks=1,
                           blocks_per_stack=2, fft_size=16, hop=8)
-        assert build_model(cfg).fusions == []
+        assert MultiStageModel(cfg).fusions == []
 
     def test_five_stages_have_three_fusions(self):
         cfg = ModelConfig(stages=5, hidden=4, bottleneck=3, stacks=1,
                           blocks_per_stack=2, fft_size=16, hop=8)
-        assert len(build_model(cfg).fusions) == 3
+        assert len(MultiStageModel(cfg).fusions) == 3
 
     def test_same_seed_bit_identical(self):
-        m1 = build_model(TOY)
-        m2 = build_model(TOY)
+        m1 = MultiStageModel(TOY)
+        m2 = MultiStageModel(TOY)
         for (n1, p1), (n2, p2) in zip(m1.store.params(), m2.store.params()):
             assert n1 == n2
             assert np.array_equal(p1.value, p2.value)
 
+    def test_default_config_is_paper_geometry(self):
+        cfg = ModelConfig()
+        assert (cfg.stages, cfg.hidden, cfg.bottleneck, cfg.stacks,
+                cfg.blocks_per_stack) == (5, 256, 128, 3, 8)
+        assert (cfg.kernel, cfg.fft_size, cfg.hop, cfg.freq_bins) == (3, 512, 256, 257)
+
     def test_delta_starts_at_zero(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         for stage in model.stages:
             assert np.all(stage.sa.delta.value == 0.0)
 
@@ -52,109 +60,126 @@ class TestForward:
     def test_single_stage_trace(self):
         cfg = ModelConfig(stages=1, hidden=4, bottleneck=3, stacks=1,
                           blocks_per_stack=2, fft_size=16, hop=8, seed=2)
-        model = build_model(cfg)
+        model = MultiStageModel(cfg)
         rng = np.random.default_rng(3)
         x = _toy_input(rng)
-        trace = model.forward(x, "eval")
+        trace = model.forward_batch([x], "eval")
         assert len(trace.masks) == 1
         assert len(trace.estimates) == 2
         np.testing.assert_array_equal(trace.estimates[1], trace.masks[0] * x)
 
-    def test_all_ones_hook_returns_input(self):
-        model = build_model(TOY)
+    def test_all_ones_hook_returns_input(self, monkeypatch):
+        model = MultiStageModel(TOY)
         rng = np.random.default_rng(4)
         x = _toy_input(rng)
-        trace = model.forward(x, "eval", mask_hook=lambda k, m: np.ones_like(m))
+        constant_masks(monkeypatch, model, 1.0)
+        trace = model.forward_batch([x], "eval")
         np.testing.assert_array_equal(trace.estimates[-1], x)
 
     def test_cascade_contracts(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         rng = np.random.default_rng(6)
         randomize_params(model.store, rng)
         x = _toy_input(rng, t=8)
-        trace = model.forward(x, "eval")
+        trace = model.forward_batch([x], "eval")
         for k in range(1, len(trace.estimates)):
             assert np.all(trace.estimates[k] >= 0.0)
             assert np.all(trace.estimates[k] <= trace.estimates[k - 1])
 
     def test_eval_forward_is_pure(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         rng = np.random.default_rng(7)
         x = _toy_input(rng)
-        t1 = model.forward(x, "eval")
-        t2 = model.forward(x, "eval")
+        t1 = model.forward_batch([x], "eval")
+        t2 = model.forward_batch([x], "eval")
         assert np.array_equal(t1.estimates[-1], t2.estimates[-1])
 
     def test_rejects_negative_input(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         with pytest.raises(ValueError):
-            model.forward(-np.ones((9, 4)), "eval")
+            model.forward_batch([-np.ones((9, 4))], "eval")
 
     def test_rejects_wrong_bin_count(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         with pytest.raises(ValueError):
-            model.forward(np.ones((8, 4)), "eval")
+            model.forward_batch([np.ones((8, 4))], "eval")
 
 
 class TestTotalLoss:
-    def test_perfect_mask_zero_loss(self):
+    def test_perfect_mask_zero_loss(self, monkeypatch):
         cfg = ModelConfig(stages=1, hidden=4, bottleneck=3, stacks=1,
                           blocks_per_stack=2, fft_size=16, hop=8, seed=8)
-        model = build_model(cfg)
+        model = MultiStageModel(cfg)
         x = np.full((9, 4), 2.0)
-        trace = model.forward(x, "eval", mask_hook=lambda k, m: np.full_like(m, 0.5))
-        per_stage, total = total_loss(trace, np.ones((9, 4)))
+        constant_masks(monkeypatch, model, 0.5)
+        trace = model.forward_batch([x], "eval")
+        per_stage, (total,) = total_loss_batch(trace, [np.ones((9, 4))])
         assert per_stage == [0.0]
         assert total == 0.0
 
     def test_matches_scalar_oracle(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         rng = np.random.default_rng(9)
         randomize_params(model.store, rng)
         x = _toy_input(rng)
         clean = _toy_input(rng)
-        trace = model.forward(x, "eval")
-        per_stage, total = total_loss(trace, clean)
+        trace = model.forward_batch([x], "eval")
+        per_stage, (total,) = total_loss_batch(trace, [clean])
         ref_per, ref_total = ref_cascade_loss(trace.masks, x, clean)
         np.testing.assert_allclose(per_stage, ref_per, atol=1e-10)
         assert abs(total - ref_total) < 1e-10
 
     def test_shape_mismatch_rejected(self):
-        model = build_model(TOY)
-        trace = model.forward(np.ones((9, 4)), "eval")
+        model = MultiStageModel(TOY)
+        trace = model.forward_batch([np.ones((9, 4))], "eval")
         with pytest.raises(ValueError):
-            total_loss(trace, np.ones((9, 5)))
+            total_loss_batch(trace, [np.ones((9, 5))])
+
+    @pytest.mark.parametrize("lengths, targets", [
+        ((4,), [(9, 1)]),                 # would broadcast against its item
+        ((3, 5), [(9, 5), (9, 3)]),       # lengths swapped between the items
+        ((3, 5), [(9, 8)]),               # one target for two items
+    ], ids=["broadcast", "swapped", "count"])
+    def test_target_shapes_checked(self, lengths, targets):
+        # the loss and its gradient reject the same targets
+        model = MultiStageModel(TOY)
+        trace = model.forward_batch([np.ones((9, t)) for t in lengths], "train")
+        cleans = [np.ones(shape) for shape in targets]
+        with pytest.raises(ValueError, match="target"):
+            total_loss_batch(trace, cleans)
+        with pytest.raises(ValueError, match="target"):
+            model.backward_batch(trace, cleans)
 
 
 class TestGradients:
     def test_every_parameter_reached(self):
         cfg = ModelConfig(stages=5, hidden=6, bottleneck=4, stacks=1,
                           blocks_per_stack=2, fft_size=16, hop=8, seed=10)
-        model = build_model(cfg)
+        model = MultiStageModel(cfg)
         rng = np.random.default_rng(11)
         randomize_params(model.store, rng)
         x = _toy_input(rng, t=7)
         clean = _toy_input(rng, t=7)
-        trace = model.forward(x, "train")
-        model.backward(trace, clean)
+        trace = model.forward_batch([x], "train")
+        model.backward_batch(trace, [clean])
         for name, p in model.store.params():
             assert np.abs(p.grad).max() > 0.0, f"no gradient reached {name}"
 
     def test_end_to_end_finite_differences(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         rng = np.random.default_rng(12)
         randomize_params(model.store, rng)
         x = _toy_input(rng)
         clean = margined_clean(model, x, rng)
 
         def loss_value():
-            trace = model.forward(x, "train")
-            return total_loss(trace, clean)[1]
+            trace = model.forward_batch([x], "train")
+            return total_loss_batch(trace, [clean])[1][0]
 
         def analytic_grads():
             model.store.zero_grads()
-            trace = model.forward(x, "train")
-            model.backward(trace, clean)
+            trace = model.forward_batch([x], "train")
+            model.backward_batch(trace, [clean])
             return {name: p.grad.copy() for name, p in model.store.params()}
 
         buffers_before = {n: b.copy() for n, b in model.store.buffers()}
@@ -184,17 +209,15 @@ class TestGradients:
         assert worst < 1e-3
 
     def test_backward_requires_train_trace(self):
-        model = build_model(TOY)
-        trace = model.forward(np.ones((9, 4)), "eval")
+        model = MultiStageModel(TOY)
+        trace = model.forward_batch([np.ones((9, 4))], "eval")
         with pytest.raises(ValueError):
-            model.backward(trace, np.ones((9, 4)))
+            model.backward_batch(trace, [np.ones((9, 4))])
 
     def test_batched_gradient_includes_norm_coupling(self):
         # batch statistics couple items; finite differences over the batch
         # objective must still agree
-        from stagemask.model import total_loss_batch
-
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         rng = np.random.default_rng(21)
         randomize_params(model.store, rng)
         xs = [_toy_input(rng, t=5), _toy_input(rng, t=7)]
@@ -233,9 +256,7 @@ class TestGradients:
     def test_packed_batch_gradient_three_items(self):
         # three unequal lengths: dilated taps, attention and global norms
         # meet item boundaries, and batch norm couples the items
-        from stagemask.model import total_loss_batch
-
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         rng = np.random.default_rng(31)
         randomize_params(model.store, rng)
         xs = [_toy_input(rng, t=t) for t in (5, 2, 8)]
@@ -290,25 +311,25 @@ class TestCounts:
     def test_sa_block_paper_geometry(self):
         cfg = ModelConfig(stages=1, hidden=8, bottleneck=4, stacks=1,
                           blocks_per_stack=1, fft_size=512, hop=256)
-        counts = build_model(cfg).count_parameters()
+        counts = MultiStageModel(cfg).count_parameters()
         assert counts["sa_block"] == 198_919
         assert counts["sa_block"] == 3 * (257 * 257 + 257) + 1
 
     def test_tcn_blocks_large_geometry(self):
         cfg = ModelConfig(stages=1, hidden=256, bottleneck=128, stacks=3,
                           blocks_per_stack=8, fft_size=512, hop=256)
-        counts = build_model(cfg).count_parameters()
+        counts = MultiStageModel(cfg).count_parameters()
         assert counts["tcn_blocks"] == 1_643_520
         assert counts["tcn_blocks"] == 24 * 68_480
 
     def test_five_stage_total_near_reported_size(self):
         cfg = ModelConfig(stages=5, hidden=256, bottleneck=128, stacks=3,
                           blocks_per_stack=8, fft_size=512, hop=256)
-        counts = build_model(cfg).count_parameters()
+        counts = MultiStageModel(cfg).count_parameters()
         assert abs(counts["total"] - 9_910_000) / 9_910_000 < 0.25
 
     def test_breakdown_consistent(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         counts = model.count_parameters()
         assert counts["per_stage"] == (
             counts["sa_block"] + counts["tcn_blocks"] + counts["stage_glue"]
@@ -323,17 +344,17 @@ class TestEnhance:
     def _model(self):
         cfg = ModelConfig(stages=2, hidden=6, bottleneck=4, stacks=1,
                           blocks_per_stack=2, fft_size=64, hop=32, seed=13)
-        return build_model(cfg)
+        return MultiStageModel(cfg)
 
     def test_output_length_matches_input(self):
         model = self._model()
         rng = np.random.default_rng(14)
         x = dsp.Waveform(rng.standard_normal(777) * 0.1, 8000)
-        out = model.enhance(x)
+        out, _ = model.enhance(x)
         assert len(out) == 777
         assert out.sample_rate == 8000
 
-    def test_all_ones_hook_equals_round_trip(self):
+    def test_all_ones_hook_equals_round_trip(self, monkeypatch):
         # faded edges: the bare round trip cannot reproduce the sample under
         # the analysis window's zero, so make that sample zero
         model = self._model()
@@ -342,7 +363,8 @@ class TestEnhance:
         samples[:8] *= np.linspace(0.0, 1.0, 8)
         samples[-8:] *= np.linspace(1.0, 0.0, 8)
         x = dsp.Waveform(samples, 8000)
-        out = model.enhance(x, mask_hook=lambda k, m: np.ones_like(m))
+        constant_masks(monkeypatch, model, 1.0)
+        out, _ = model.enhance(x)
         win = dsp.hann_window(64, 32)
         mag, phase = dsp.stft(x, win)
         rt = dsp.istft(mag, phase, win, len(x), 8000)
@@ -352,7 +374,7 @@ class TestEnhance:
 
     def test_zero_input_zero_output(self):
         model = self._model()
-        out = model.enhance(dsp.Waveform(np.zeros(500), 8000))
+        out, _ = model.enhance(dsp.Waveform(np.zeros(500), 8000))
         assert np.all(out.samples == 0.0)
 
     def test_short_input_rejected(self):

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from stagemask import cli, dsp, nn
 from stagemask.audio import synth_toy_dataset
-from stagemask.model import ModelConfig, build_model, total_loss, total_loss_batch
+from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 from stagemask.train import (
     AdamState,
     FormatError,
@@ -196,7 +197,7 @@ class TestPadBatch:
         # padding must not leak into the loss: process items of different
         # lengths together and individually (eval mode, where batch
         # composition cannot couple items), compare exactly
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         win = dsp.hann_window(64, 32)
         pairs = self._mixed_length_pairs()
         batch = pad_batch(pairs)
@@ -208,14 +209,14 @@ class TestPadBatch:
         for noisy, clean in pairs:
             x_mag, _ = dsp.stft(noisy, win)
             s_mag, _ = dsp.stft(clean, win)
-            single = model.forward(x_mag.values, "eval")
-            singles.append(total_loss(single, s_mag.values)[1])
+            single = model.forward_batch([x_mag.values], "eval")
+            singles.append(total_loss_batch(single, [s_mag.values])[1][0])
         assert abs(batch_total - np.mean(singles)) < 1e-12
 
     def test_train_mode_losses_ignore_padding(self):
         # same batch with and without tail padding gives identical train-mode
         # losses: trimming restores each item's own frames exactly
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         win = dsp.hann_window(64, 32)
         pairs = self._mixed_length_pairs(seed=15)
         batch = pad_batch(pairs)
@@ -235,7 +236,7 @@ class TestPadBatch:
 
     def test_appending_silence_leaves_losses_unchanged(self):
         rng = np.random.default_rng(6)
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         win = dsp.hann_window(64, 32)
         noisy = dsp.Waveform(np.abs(rng.standard_normal(500)) * 0.1, 8000)
         clean = dsp.Waveform(np.abs(rng.standard_normal(500)) * 0.1, 8000)
@@ -244,8 +245,8 @@ class TestPadBatch:
             t_frames = dsp.frame_count(valid_len, win)
             x_mag, _ = dsp.stft(dsp.Waveform(noisy_samples, 8000), win)
             s_mag, _ = dsp.stft(dsp.Waveform(clean_samples, 8000), win)
-            trace = model.forward(x_mag.values[:, :t_frames], "eval")
-            return total_loss(trace, s_mag.values[:, :t_frames])[1]
+            trace = model.forward_batch([x_mag.values[:, :t_frames]], "eval")
+            return total_loss_batch(trace, [s_mag.values[:, :t_frames]])[1][0]
 
         loss_plain = masked_loss(noisy.samples, clean.samples, 500)
         # silence arrives as batch padding next to a longer companion item
@@ -262,20 +263,20 @@ class TestFit:
     def test_zero_lr_keeps_losses_constant(self):
         # whole dataset as one batch: shuffling then only reorders the
         # concatenation feeding the norm statistics
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=4, seed=8)
         records = fit(model, pairs, TrainConfig(lr=0.0, batch=4, epochs=3, seed=1))
         totals = [r.total for r in records]
         np.testing.assert_allclose(totals, totals[0], rtol=1e-12)
 
     def test_log_has_expected_step_count(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=5, seed=9)
         records = fit(model, pairs, TrainConfig(batch=2, epochs=3, seed=1))
         assert len(records) == 3 * 3  # ceil(5/2) = 3 batches per epoch
 
     def test_loss_decreases_on_toy_data(self):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=4, seed=10)
         records = fit(model, pairs, TrainConfig(batch=4, epochs=40, seed=2))
         assert records[-1].total < records[0].total
@@ -288,7 +289,7 @@ class TestFit:
         for seed in range(10):
             cfg = ModelConfig(stages=2, hidden=6, bottleneck=4, stacks=1,
                               blocks_per_stack=2, fft_size=64, hop=32, seed=seed)
-            model = build_model(cfg)
+            model = MultiStageModel(cfg)
             batch = pad_batch(pairs)
             _, before = batch_losses_and_grads(model, batch, win)
             adam_step(model.store, AdamState(model.store), TrainConfig(lr=1e-5))
@@ -301,12 +302,12 @@ class TestFit:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            fit(build_model(TOY), [], TrainConfig())
+            fit(MultiStageModel(TOY), [], TrainConfig())
 
     def test_divergence_stops_and_keeps_last_checkpoint(self, tmp_path, monkeypatch):
         import stagemask.train as train_mod
 
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=2, seed=16)
         path = tmp_path / "best.ckpt"
         calls = {"n": 0}
@@ -329,7 +330,7 @@ class TestFit:
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded, state = load_checkpoint(path)
@@ -343,7 +344,7 @@ class TestCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_optimizer_state_round_trip(self, tmp_path):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=2, seed=12)
         fit(model, pairs, TrainConfig(batch=2, epochs=2, seed=3),
             checkpoint_path=str(tmp_path / "best.ckpt"))
@@ -352,7 +353,7 @@ class TestCheckpoint:
         assert state.step >= 1
 
     def test_enhance_identical_after_reload(self, tmp_path):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=2, seed=13)
         fit(model, pairs, TrainConfig(batch=2, epochs=2, seed=4))
         path = tmp_path / "model.ckpt"
@@ -360,11 +361,11 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         x = pairs[0][0]
         np.testing.assert_array_equal(
-            model.enhance(x).samples, loaded.enhance(x).samples
+            model.enhance(x)[0].samples, loaded.enhance(x)[0].samples
         )
 
     def test_truncated_file_rejected(self, tmp_path):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         data = path.read_bytes()
@@ -380,13 +381,44 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        model = build_model(TOY)
+        model = MultiStageModel(TOY)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         padded = tmp_path / "padded.ckpt"
         padded.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
             load_checkpoint(padded)
+
+    @pytest.mark.parametrize("fail_at", ["tensor", "fsync"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
+        import stagemask.train as train_mod
+
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(MultiStageModel(TOY), path)
+        before = path.read_bytes()
+        on_disk = []
+
+        def fail(*_):
+            on_disk.append(sorted(p.name for p in tmp_path.iterdir()))
+            raise OSError("disk full")
+
+        if fail_at == "tensor":
+            # the header and four tensors are out before the write fails
+            real = train_mod._tensor_bytes
+            written = []
+
+            def tensor_bytes(name, value):
+                written.append(name)
+                return fail() if len(written) == 5 else real(name, value)
+
+            monkeypatch.setattr(train_mod, "_tensor_bytes", tensor_bytes)
+        else:
+            monkeypatch.setattr(train_mod.os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(MultiStageModel(replace(TOY, seed=4)), path)
+        assert len(on_disk[0]) == 2  # the partial file sat next to the old one
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
     def _fixture_tensors_sha256(self, model, state):
@@ -447,7 +479,7 @@ class TestCheckpoint:
 class TestDeterminism:
     def test_same_seed_same_checkpoint(self, tmp_path):
         def run(tag):
-            model = build_model(TOY)
+            model = MultiStageModel(TOY)
             pairs = _toy_pairs(n=4, seed=14)
             path = tmp_path / f"{tag}.ckpt"
             fit(model, pairs, TrainConfig(batch=2, epochs=3, seed=5),
