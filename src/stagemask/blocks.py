@@ -74,7 +74,9 @@ class BatchNormLayer:
     """Batch normalization over batch x time per channel.
 
     Train statistics cover every column of the packed batch, so a batch of
-    one falls back to plain per-utterance time statistics.
+    one falls back to plain per-utterance time statistics.  ``forward``
+    returns ``(y, saved)``; ``backward`` takes the saved statistics of a
+    train-mode forward back.
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int):
@@ -85,33 +87,36 @@ class BatchNormLayer:
             store.register_buffer(f"{name}.running_var", np.ones(channels)),
         )
 
-    def forward(self, x: Array, mode: str) -> Array:
-        return nn.batch_norm(x, self.gamma.value, self.beta.value, self.state, mode)
-
-    def backward(self, dy: Array, x: Array, mode: str) -> Array:
-        dx, dgamma, dbeta = nn.batch_norm_backward(
-            dy, x, self.gamma.value, self.state, mode
+    def forward(self, x: Array, mode: str):
+        y, *saved = nn.batch_norm(
+            x, self.gamma.value, self.beta.value, self.state, mode
         )
+        return y, saved
+
+    def backward(self, dy: Array, saved) -> Array:
+        dx, dgamma, dbeta = nn.batch_norm_backward(dy, *saved, self.gamma.value)
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
         return dx
 
 
 class GlobalNormLayer:
-    """Global layer normalization, per item, with per-row affine parameters."""
+    """Global layer normalization, per item, with per-row affine parameters.
+
+    ``forward`` returns ``(y, saved)``; ``backward`` takes ``saved`` back.
+    """
 
     def __init__(self, store: ParamStore, name: str, rows: int):
         self.gamma = store.register(f"{name}.gamma", np.ones((rows, 1)))
         self.beta = store.register(f"{name}.beta", np.zeros((rows, 1)))
 
-    def forward(self, x: Array, bounds) -> Array:
-        return nn.global_layer_norm(
-            x, self.gamma.value, self.beta.value, bounds=bounds
-        )
+    def forward(self, x: Array, bounds):
+        y, *saved = nn.global_layer_norm(x, self.gamma.value, self.beta.value, bounds)
+        return y, saved
 
-    def backward(self, dy: Array, x: Array, bounds) -> Array:
+    def backward(self, dy: Array, saved, bounds) -> Array:
         dx, dgamma, dbeta = nn.global_layer_norm_backward(
-            dy, x, self.gamma.value, bounds=bounds
+            dy, *saved, self.gamma.value, bounds
         )
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
@@ -199,29 +204,27 @@ class TCNBlock:
     def forward(self, x: Array, bounds, mode: str, cache: dict | None = None):
         h0 = self.in_conv.forward(x)
         h1 = self.prelu1.forward(h0)
-        h2 = self.bn1.forward(h1, mode)
+        h2, bn1 = self.bn1.forward(h1, mode)
         h3 = nn.depthwise_dconv(
             h2, self.dkernel.value, self.dbias.value, self.dilation, bounds
         )
         h4 = self.prelu2.forward(h3)
-        h5 = self.bn2.forward(h4, mode)
+        h5, bn2 = self.bn2.forward(h4, mode)
         if cache is not None:
-            cache.update(
-                x=x, bounds=bounds, h0=h0, h1=h1, h2=h2, h3=h3, h4=h4, h5=h5, mode=mode
-            )
+            cache.update(x=x, bounds=bounds, h0=h0, bn1=bn1, h2=h2, h3=h3,
+                         bn2=bn2, h5=h5)
         return x + self.out_conv.forward(h5)
 
     def backward(self, dy: Array, cache: dict) -> Array:
-        mode = cache["mode"]
         dh5 = self.out_conv.backward(dy, cache["h5"])
-        dh4 = self.bn2.backward(dh5, cache["h4"], mode)
+        dh4 = self.bn2.backward(dh5, cache["bn2"])
         dh3 = self.prelu2.backward(dh4, cache["h3"])
         dh2, dk, db = nn.depthwise_dconv_backward(
             dh3, cache["h2"], self.dkernel.value, self.dilation, cache["bounds"]
         )
         self.dkernel.grad += dk
         self.dbias.grad += db
-        dh1 = self.bn1.backward(dh2, cache["h1"], mode)
+        dh1 = self.bn1.backward(dh2, cache["bn1"])
         dh0 = self.prelu1.backward(dh1, cache["h0"])
         return dy + self.in_conv.backward(dh0, cache["x"])
 
@@ -278,13 +281,13 @@ class _FusionBranch:
 
     def forward(self, x: Array, bounds, cache: dict | None = None) -> Array:
         c = self.conv.forward(x)
-        p = self.prelu.forward(c)
+        y, gln = self.gln.forward(self.prelu.forward(c), bounds)
         if cache is not None:
-            cache.update(x=x, c=c, p=p)
-        return self.gln.forward(p, bounds)
+            cache.update(x=x, c=c, gln=gln)
+        return y
 
     def backward(self, dy: Array, bounds, cache: dict) -> Array:
-        dp = self.gln.backward(dy, cache["p"], bounds)
+        dp = self.gln.backward(dy, cache["gln"], bounds)
         dc = self.prelu.backward(dp, cache["c"])
         return self.conv.backward(dc, cache["x"])
 
@@ -317,18 +320,17 @@ class FusionBlock:
             prev_est, bounds, cb
         )
         p1 = self.post_conv1.forward(s)
-        p2 = self.post_prelu1.forward(p1)
-        p3 = self.post_gln.forward(p2, bounds)
+        p3, gln = self.post_gln.forward(self.post_prelu1.forward(p1), bounds)
         p4 = self.post_conv2.forward(p3)
         if cache is not None:
-            cache.update(a=ca, b=cb, bounds=bounds, s=s, p1=p1, p2=p2, p3=p3, p4=p4)
+            cache.update(a=ca, b=cb, bounds=bounds, s=s, p1=p1, gln=gln, p3=p3, p4=p4)
         return self.post_prelu2.forward(p4)
 
     def backward(self, dy: Array, cache: dict):
         bounds = cache["bounds"]
         dp4 = self.post_prelu2.backward(dy, cache["p4"])
         dp3 = self.post_conv2.backward(dp4, cache["p3"])
-        dp2 = self.post_gln.backward(dp3, cache["p2"], bounds)
+        dp2 = self.post_gln.backward(dp3, cache["gln"], bounds)
         dp1 = self.post_prelu1.backward(dp2, cache["p1"])
         ds = self.post_conv1.backward(dp1, cache["s"])
         da = self.branch_a.backward(ds, bounds, cache["a"])

@@ -63,6 +63,15 @@ class ModelConfig:
     def num_fusions(self) -> int:
         return max(0, self.stages - 2)
 
+    @property
+    def state_floats(self) -> int:
+        """Parameter plus buffer values of the model this config builds."""
+        f, b, h = self.freq_bins, self.bottleneck, self.hidden
+        sa = 3 * f * f + 3 * f + 1
+        tcn = 2 * h * b + b + h * self.kernel + 12 * h  # 4h: BN running stats
+        stage = sa + 2 * f * b + b + f + self.stacks * self.blocks_per_stack * tcn
+        return self.stages * stage + self.num_fusions * (4 * f * f + 14 * f)
+
 
 @dataclass
 class BatchTrace:
@@ -89,6 +98,7 @@ class BatchTrace:
 class MultiStageModel:
     def __init__(self, config: ModelConfig):
         self.config = config
+        self.window = dsp.hann_window(config.fft_size, config.hop)
         self.store = ParamStore()
         rng = np.random.default_rng(config.seed)
         f = config.freq_bins
@@ -212,7 +222,7 @@ class MultiStageModel:
         padded = dsp.Waveform(
             np.concatenate([np.zeros(hop), x.samples, np.zeros(hop)]), x.sample_rate
         )
-        return dsp.stft(padded, dsp.hann_window(self.config.fft_size, hop))
+        return dsp.stft(padded, self.window)
 
     def enhance(self, x: dsp.Waveform) -> tuple[dsp.Waveform, BatchTrace]:
         """``analyze``, mask through all stages, resynthesize with the input's
@@ -221,8 +231,7 @@ class MultiStageModel:
         trace = self.forward_batch([mag.values], "eval")
         hop = self.config.hop
         out_mag = dsp.Spectrogram(trace.estimates[-1], hop, self.config.fft_size)
-        win = dsp.hann_window(self.config.fft_size, hop)
-        out = dsp.istft(out_mag, phase, win, hop + len(x), x.sample_rate)
+        out = dsp.istft(out_mag, phase, self.window, hop + len(x), x.sample_rate)
         return dsp.Waveform(out.samples[hop:], x.sample_rate), trace
 
     # -- bookkeeping --------------------------------------------------------

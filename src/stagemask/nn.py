@@ -2,9 +2,11 @@
 
 Tensors are plain float64 numpy arrays.  Every op comes as a forward function
 plus a matching ``*_backward`` that maps the output gradient to input and
-parameter gradients; there is no graph or tape.  Parameter values are kept
-exactly representable in float32 (arithmetic still runs in float64) so the
-32-bit checkpoint format round-trips bit-exactly.
+parameter gradients; there is no graph or tape.  The norm ops also return the
+normalized input and inverse standard deviation they computed; their backward
+passes take those instead of the input and hold only for train-mode forwards.
+Parameter values are kept exactly representable in float32 (arithmetic still
+runs in float64) so the 32-bit checkpoint format round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -129,11 +131,6 @@ class BatchNormState:
     running_var: Array
 
 
-def _check_mode(mode: str):
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
@@ -244,19 +241,18 @@ def prelu_backward(dy: Array, x: Array, slope: Array):
     return dx, dslope
 
 
-def _bn_stats(x: Array):
-    mean = x.mean(axis=1)
-    var = x.var(axis=1)
-    return mean, var
-
-
 def batch_norm(
     x: Array, gamma: Array, beta: Array, state: BatchNormState, mode: str
-) -> Array:
-    """Per-channel normalization over time; train mode updates running stats."""
-    _check_mode(mode)
+) -> tuple[Array, Array, Array]:
+    """Per-channel normalization over time; train mode updates running stats.
+
+    Returns ``(y, xhat, inv_std)``; after a train forward the last two are
+    what ``batch_norm_backward`` needs.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train":
-        mean, var = _bn_stats(x)
+        mean, var = x.mean(axis=1), x.var(axis=1)
         t = x.shape[1]
         unbiased = var * t / (t - 1) if t > 1 else var
         state.running_mean[...] = f32_clean(
@@ -267,64 +263,51 @@ def batch_norm(
         )
     else:
         mean, var = state.running_mean, state.running_var
-    xhat = (x - mean[:, None]) / np.sqrt(var + BN_EPS)[:, None]
-    return gamma[:, None] * xhat + beta[:, None]
+    std = np.sqrt(var + BN_EPS)
+    xhat = (x - mean[:, None]) / std[:, None]
+    return gamma[:, None] * xhat + beta[:, None], xhat, 1.0 / std
 
 
-def batch_norm_backward(
-    dy: Array, x: Array, gamma: Array, state: BatchNormState, mode: str
-):
-    _check_mode(mode)
-    if mode == "train":
-        mean, var = _bn_stats(x)
-    else:
-        mean, var = state.running_mean, state.running_var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[:, None]) * inv_std[:, None]
-    dgamma = (dy * xhat).sum(axis=1)
-    dbeta = dy.sum(axis=1)
+def batch_norm_backward(dy: Array, xhat: Array, inv_std: Array, gamma: Array):
+    """Gradients of a train-mode ``batch_norm`` from its saved xhat, inv_std."""
     g = dy * gamma[:, None]
-    if mode == "train":
-        dx = inv_std[:, None] * (
-            g
-            - g.mean(axis=1, keepdims=True)
-            - xhat * (g * xhat).mean(axis=1, keepdims=True)
-        )
-    else:
-        dx = g * inv_std[:, None]
-    return dx, dgamma, dbeta
+    dx = inv_std[:, None] * (
+        g
+        - g.mean(axis=1, keepdims=True)
+        - xhat * (g * xhat).mean(axis=1, keepdims=True)
+    )
+    return dx, (dy * xhat).sum(axis=1), dy.sum(axis=1)
 
 
 def global_layer_norm(
-    x: Array, gamma: Array, beta: Array, eps: float = GLN_EPS, bounds=None
-) -> Array:
+    x: Array, gamma: Array, beta: Array, bounds=None
+) -> tuple[Array, Array, Array]:
     """Normalize each item by the mean/variance over all its entries jointly;
-    affine per row.  ``bounds`` splits packed items (see ``segments``)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    y = np.empty_like(x)
-    for lo, hi in segments(bounds, x.shape[1]):
+    affine per row.  ``bounds`` splits packed items (see ``segments``).
+
+    Returns ``(y, xhat, inv_std)`` with one inv_std per item, what
+    ``global_layer_norm_backward`` needs.
+    """
+    items = segments(bounds, x.shape[1])
+    xhat = np.empty_like(x)
+    inv_std = np.empty(len(items))
+    for i, (lo, hi) in enumerate(items):
         seg = x[:, lo:hi]
-        y[:, lo:hi] = gamma * ((seg - seg.mean()) / math.sqrt(seg.var() + eps)) + beta
-    return y
+        std = math.sqrt(seg.var() + GLN_EPS)
+        xhat[:, lo:hi] = (seg - seg.mean()) / std
+        inv_std[i] = 1.0 / std
+    return gamma * xhat + beta, xhat, inv_std
 
 
 def global_layer_norm_backward(
-    dy: Array, x: Array, gamma: Array, eps: float = GLN_EPS, bounds=None
+    dy: Array, xhat: Array, inv_std: Array, gamma: Array, bounds=None
 ):
-    xhat = np.empty_like(x)
-    dx = np.empty_like(x)
+    dx = np.empty_like(dy)
     g = dy * gamma
-    for lo, hi in segments(bounds, x.shape[1]):
-        seg = x[:, lo:hi]
-        gs = g[:, lo:hi]
-        inv_std = 1.0 / math.sqrt(seg.var() + eps)
-        xh = xhat[:, lo:hi]
-        xh[...] = (seg - seg.mean()) * inv_std
-        dx[:, lo:hi] = inv_std * (gs - gs.mean() - xh * (gs * xh).mean())
-    dgamma = (dy * xhat).sum(axis=1, keepdims=True)
-    dbeta = dy.sum(axis=1, keepdims=True)
-    return dx, dgamma, dbeta
+    for s, (lo, hi) in zip(inv_std, segments(bounds, dy.shape[1])):
+        gs, xh = g[:, lo:hi], xhat[:, lo:hi]
+        dx[:, lo:hi] = s * (gs - gs.mean() - xh * (gs * xh).mean())
+    return dx, (dy * xhat).sum(axis=1, keepdims=True), dy.sum(axis=1, keepdims=True)
 
 
 def softmax_columns(w: Array) -> Array:

@@ -183,7 +183,6 @@ def fit(
     """
     if not dataset:
         raise ValueError("dataset is empty")
-    win = dsp.hann_window(model.config.fft_size, model.config.hop)
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
     records: list[StepRecord] = []
@@ -195,7 +194,7 @@ def fit(
         for start in range(0, len(dataset), cfg.batch):
             chunk = order[start : start + cfg.batch]
             batch = pad_batch([dataset[i] for i in chunk])
-            stage_means, total_mean = batch_losses_and_grads(model, batch, win)
+            stage_means, total_mean = batch_losses_and_grads(model, batch, model.window)
             step += 1
             if not np.isfinite(total_mean):
                 raise TrainingDivergedError(
@@ -356,11 +355,17 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
             raise FormatError(f"duplicate tensor {name}", r.offset)
         # float32 views of the file; each is copied into its float64 home below
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(extents)
-    if r.offset != len(data):
-        raise FormatError(f"{len(data) - r.offset} trailing bytes", r.offset)
-
-    model = MultiStageModel(config)
     end = len(data)
+    if r.offset != end:
+        raise FormatError(f"{end - r.offset} trailing bytes", r.offset)
+    # the header alone must not size an allocation: check it against the table
+    floats = sum(t.size for n, t in tensors.items() if not n.startswith("adam."))
+    if floats != config.state_floats:
+        raise FormatError(
+            f"tensors hold {floats} model values, the header's config needs "
+            f"{config.state_floats}", end,
+        )
+    model = MultiStageModel(config)
     params = ((name, p.value) for name, p in model.store.params())
     _fill(tensors, params, "parameter", end)
     _fill(tensors, model.store.buffers(), "buffer", end)

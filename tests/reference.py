@@ -3,7 +3,9 @@
 Everything here is written with explicit Python loops over indices and
 ``math`` scalar functions, deliberately avoiding the vectorized code paths
 under test.  These read parameter values from built layers but share no
-computation with them.
+computation with them.  The two ``*_backward`` references are vectorized:
+they are the norm backward passes as written before the forward saved its
+statistics, recomputing mean, variance and x-hat from the input.
 """
 
 import math
@@ -98,6 +100,35 @@ def ref_gln(x, gamma, beta):
                 beta[c, 0]
             )
     return y
+
+
+def ref_batch_norm_backward(dy, x, gamma):
+    """Train-mode batch-norm gradients, statistics recomputed from ``x``."""
+    mean, var = x.mean(axis=1), x.var(axis=1)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean[:, None]) * inv_std[:, None]
+    g = dy * gamma[:, None]
+    dx = inv_std[:, None] * (
+        g
+        - g.mean(axis=1, keepdims=True)
+        - xhat * (g * xhat).mean(axis=1, keepdims=True)
+    )
+    return dx, (dy * xhat).sum(axis=1), dy.sum(axis=1)
+
+
+def ref_gln_backward(dy, x, gamma, bounds):
+    """Packed global-layer-norm gradients, each item's statistics recomputed
+    from its columns of ``x``."""
+    xhat = np.empty_like(x)
+    dx = np.empty_like(x)
+    g = dy * gamma
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        seg, gs = x[:, lo:hi], g[:, lo:hi]
+        inv_std = 1.0 / math.sqrt(seg.var() + GLN_EPS)
+        xh = xhat[:, lo:hi]
+        xh[...] = (seg - seg.mean()) * inv_std
+        dx[:, lo:hi] = inv_std * (gs - gs.mean() - xh * (gs * xh).mean())
+    return dx, (dy * xhat).sum(axis=1, keepdims=True), dy.sum(axis=1, keepdims=True)
 
 
 def ref_softmax_columns(w):

@@ -181,18 +181,21 @@ def test_criterion_4_gradient_correctness():
 
     def bn_fn(x):
         state = nn.BatchNormState(np.zeros(3), np.ones(3))
-        y = nn.batch_norm(x, gamma, beta, state, "train")
-        dx, _, _ = nn.batch_norm_backward(c2, x, gamma, state, "train")
+        y, xhat, inv_std = nn.batch_norm(x, gamma, beta, state, "train")
+        dx, _, _ = nn.batch_norm_backward(c2, xhat, inv_std, gamma)
         return float((c2 * y).sum()), dx
 
     check("batch_norm", bn_fn, rng.standard_normal((3, 12)), 1e-3)
 
     g8 = rng.uniform(0.5, 1.5, (8, 1))
     c8 = rng.standard_normal((8, 5))
-    check("global_layer_norm",
-          lambda x: (float((c8 * nn.global_layer_norm(x, g8, np.zeros((8, 1)))).sum()),
-                     nn.global_layer_norm_backward(c8, x, g8)[0]),
-          rng.standard_normal((8, 5)), 1e-4)
+
+    def gln_fn(x):
+        y, xhat, inv_std = nn.global_layer_norm(x, g8, np.zeros((8, 1)))
+        dx, _, _ = nn.global_layer_norm_backward(c8, xhat, inv_std, g8)
+        return float((c8 * y).sum()), dx
+
+    check("global_layer_norm", gln_fn, rng.standard_normal((8, 5)), 1e-4)
 
     c5 = rng.standard_normal((5, 4))
     check("softmax_columns",

@@ -3,6 +3,8 @@ import pytest
 
 from stagemask import nn
 
+from reference import ref_batch_norm_backward, ref_gln_backward
+
 
 def _functional(rng, shape):
     """Fixed random linear functional; sums would hide errors by symmetry."""
@@ -200,7 +202,7 @@ class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 200)) * 3 + 1
-        y = nn.batch_norm(x, np.ones(4), np.zeros(4), self._state(4), "train")
+        y, _, _ = nn.batch_norm(x, np.ones(4), np.zeros(4), self._state(4), "train")
         assert np.all(np.abs(y.mean(axis=1)) < 1e-6)
         assert np.all(np.abs(y.var(axis=1) - 1) < 1e-4)
 
@@ -208,13 +210,13 @@ class TestBatchNorm:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 10))
         beta = np.array([1.0, -2.0, 0.5])
-        y = nn.batch_norm(x, np.zeros(3), beta, self._state(3), "train")
+        y, _, _ = nn.batch_norm(x, np.zeros(3), beta, self._state(3), "train")
         np.testing.assert_allclose(y, np.tile(beta[:, None], (1, 10)))
 
     def test_eval_uses_running_stats(self):
         x = np.full((1, 4), 2.0)
         state = nn.BatchNormState(np.array([1.0]), np.array([4.0]))
-        y = nn.batch_norm(x, np.ones(1), np.zeros(1), state, "eval")
+        y, _, _ = nn.batch_norm(x, np.ones(1), np.zeros(1), state, "eval")
         np.testing.assert_allclose(y, (2.0 - 1.0) / np.sqrt(4.0 + nn.BN_EPS))
 
     def test_running_stats_update(self):
@@ -234,8 +236,8 @@ class TestBatchNorm:
 
         def fn(x):
             state = self._state(3)
-            y = nn.batch_norm(x, gamma, beta, state, "train")
-            dx, _, _ = nn.batch_norm_backward(c, x, gamma, state, "train")
+            y, xhat, inv_std = nn.batch_norm(x, gamma, beta, state, "train")
+            dx, _, _ = nn.batch_norm_backward(c, xhat, inv_std, gamma)
             return float((c * y).sum()), dx
 
         assert nn.finite_diff_check(fn, rng.standard_normal((3, 9))) < 1e-3
@@ -246,21 +248,31 @@ class TestBatchNorm:
         x = rng.standard_normal((3, 9))
         beta = rng.standard_normal(3)
         c = _functional(rng, (3, 9))
-        state = self._state(3)
 
         def fn_gamma(g):
-            y = nn.batch_norm(x, g, beta, self._state(3), "train")
-            _, dg, _ = nn.batch_norm_backward(c, x, g, state, "train")
+            y, xhat, inv_std = nn.batch_norm(x, g, beta, self._state(3), "train")
+            _, dg, _ = nn.batch_norm_backward(c, xhat, inv_std, g)
             return float((c * y).sum()), dg
 
         assert nn.finite_diff_check(fn_gamma, rng.uniform(0.5, 1.5, size=3)) < 1e-3
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_backward_matches_recompute_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 16)) * 2 + 1  # the three items of BOUNDS
+        gamma = rng.uniform(0.5, 1.5, size=4)
+        dy = rng.standard_normal((4, 16))
+        _, xhat, inv_std = nn.batch_norm(x, gamma, np.zeros(4), self._state(4), "train")
+        got = nn.batch_norm_backward(dy, xhat, inv_std, gamma)
+        for g, want in zip(got, ref_batch_norm_backward(dy, x, gamma)):
+            np.testing.assert_allclose(g, want, rtol=1e-12)
 
 
 class TestGlobalLayerNorm:
     def test_normalizes_globally(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 50)) * 2 + 3
-        y = nn.global_layer_norm(x, np.ones((8, 1)), np.zeros((8, 1)))
+        y, _, _ = nn.global_layer_norm(x, np.ones((8, 1)), np.zeros((8, 1)))
         assert abs(y.mean()) < 1e-7
         assert abs(y.var() - 1) < 1e-5
 
@@ -268,10 +280,10 @@ class TestGlobalLayerNorm:
         # 3.5 over a power-of-two count keeps the mean exact, so the
         # numerator is exactly zero
         x = np.full((4, 8), 3.5)
-        y = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)))
+        y, _, _ = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)))
         np.testing.assert_array_equal(y, np.zeros((4, 8)))
         x = np.full((4, 6), 3.7)
-        y = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)))
+        y, _, _ = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)))
         np.testing.assert_allclose(y, np.zeros((4, 6)), atol=1e-10)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -281,8 +293,8 @@ class TestGlobalLayerNorm:
         c = _functional(rng, (8, 5))
 
         def fn(x):
-            y = nn.global_layer_norm(x, gamma, np.zeros((8, 1)))
-            dx, _, _ = nn.global_layer_norm_backward(c, x, gamma)
+            y, xhat, inv_std = nn.global_layer_norm(x, gamma, np.zeros((8, 1)))
+            dx, _, _ = nn.global_layer_norm_backward(c, xhat, inv_std, gamma)
             return float((c * y).sum()), dx
 
         assert nn.finite_diff_check(fn, rng.standard_normal((8, 5))) < 1e-4
@@ -294,13 +306,17 @@ class TestGlobalLayerNorm:
         gamma = rng.uniform(0.5, 1.5, size=(4, 1))
         beta = rng.standard_normal((4, 1))
         dy = rng.standard_normal((4, 16))
-        packed = nn.global_layer_norm(x, gamma, beta, bounds=BOUNDS)
+        packed, xhat, inv_std = nn.global_layer_norm(x, gamma, beta, bounds=BOUNDS)
         singles = [nn.global_layer_norm(xi.copy(), gamma, beta) for xi in _items(x)]
-        np.testing.assert_allclose(packed, np.concatenate(singles, axis=1), atol=1e-12)
-        dx, dgamma, dbeta = nn.global_layer_norm_backward(dy, x, gamma, bounds=BOUNDS)
+        np.testing.assert_allclose(
+            packed, np.concatenate([y for y, _, _ in singles], axis=1), atol=1e-12
+        )
+        dx, dgamma, dbeta = nn.global_layer_norm_backward(
+            dy, xhat, inv_std, gamma, bounds=BOUNDS
+        )
         per_item = [
-            nn.global_layer_norm_backward(dyi, xi.copy(), gamma)
-            for dyi, xi in zip(_items(dy), _items(x))
+            nn.global_layer_norm_backward(dyi, xhi, si, gamma)
+            for dyi, (_, xhi, si) in zip(_items(dy), singles)
         ]
         np.testing.assert_allclose(
             dx, np.concatenate([r[0] for r in per_item], axis=1), atol=1e-12
@@ -315,11 +331,26 @@ class TestGlobalLayerNorm:
         c = _functional(rng, (4, 16))
 
         def fn(x):
-            y = nn.global_layer_norm(x, gamma, np.zeros((4, 1)), bounds=BOUNDS)
-            dx, _, _ = nn.global_layer_norm_backward(c, x, gamma, bounds=BOUNDS)
+            y, xhat, inv_std = nn.global_layer_norm(
+                x, gamma, np.zeros((4, 1)), bounds=BOUNDS
+            )
+            dx, _, _ = nn.global_layer_norm_backward(
+                c, xhat, inv_std, gamma, bounds=BOUNDS
+            )
             return float((c * y).sum()), dx
 
         assert nn.finite_diff_check(fn, rng.standard_normal((4, 16))) < 1e-4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_backward_matches_recompute_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 16)) * 2 + 1
+        gamma = rng.uniform(0.5, 1.5, size=(4, 1))
+        dy = rng.standard_normal((4, 16))
+        _, xhat, inv_std = nn.global_layer_norm(x, gamma, np.zeros((4, 1)), BOUNDS)
+        got = nn.global_layer_norm_backward(dy, xhat, inv_std, gamma, BOUNDS)
+        for g, want in zip(got, ref_gln_backward(dy, x, gamma, BOUNDS)):
+            np.testing.assert_allclose(g, want, rtol=1e-12)
 
 
 class TestSoftmaxColumns:

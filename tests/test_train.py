@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from stagemask import cli, dsp, nn
 from stagemask.audio import synth_toy_dataset
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 from stagemask.train import (
+    CHECKPOINT_MAGIC,
     AdamState,
     FormatError,
     TrainConfig,
@@ -474,6 +476,39 @@ class TestCheckpoint:
         assert "negative extent -1" in err
         # 52-byte header, name length, "stage1.sa.wq.weight" (19 bytes), rank
         assert f"(offset {56 + 19 + 4})" in err
+
+
+    @pytest.mark.parametrize("config", [
+        TOY,
+        replace(TOY, stages=1),
+        replace(TOY, stages=4, kernel=5, stacks=2),
+        ModelConfig(stages=3, hidden=8, bottleneck=4, stacks=1, blocks_per_stack=2,
+                    fft_size=32, hop=16),
+        ModelConfig(),
+    ], ids=["toy", "one-stage", "four-stage", "fixture", "paper"])
+    def test_state_floats_counts_params_and_buffers(self, config):
+        store = MultiStageModel(config).store
+        buffers = sum(b.size for _, b in store.buffers())
+        assert config.state_floats == store.count() + buffers
+
+    def test_header_only_file_rejected_before_allocating(self, tmp_path, capsys):
+        # stages hidden bottleneck stacks blocks_per_stack kernel fft_size hop,
+        # seed, tensor count: a 76 MB model asked for by 52 bytes
+        probe = tmp_path / "probe.ckpt"
+        probe.write_bytes(CHECKPOINT_MAGIC + struct.pack("<8iqi", 1, 1024, 256, 1, 8,
+                                                         3, 512, 256, 0, 0))
+        assert probe.stat().st_size == 52
+        tracemalloc.start()
+        try:
+            rc = cli.run(["enhance", "--ckpt", str(probe),
+                          "--in", str(FIXTURES / "toy_noisy.wav"),
+                          "--out", str(tmp_path / "o.wav")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "tensors hold 0 model values" in capsys.readouterr().err
+        assert peak < 1 << 20
 
 
 class TestDeterminism:
