@@ -3,8 +3,6 @@
 from .dsp import (
     AnalysisWindow,
     CoverageError,
-    PhaseMatrix,
-    Spectrogram,
     Waveform,
     hann_window,
     istft,
@@ -37,8 +35,6 @@ from .metrics import MetricReport, evaluate_set, si_sdr, snr_db
 __all__ = [
     "AnalysisWindow",
     "CoverageError",
-    "PhaseMatrix",
-    "Spectrogram",
     "Waveform",
     "hann_window",
     "istft",

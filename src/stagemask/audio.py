@@ -39,6 +39,8 @@ def read_wav(path: str) -> Waveform:
         raise WavFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+    if rate <= 0:
+        raise WavFormatError(f"{path}: sample rate must be positive, got {rate}")
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / _SCALE
     return Waveform(samples, rate)
 

@@ -8,9 +8,11 @@ over the packed array; batch normalization in train mode therefore takes its
 statistics over batch x time per channel.  The dilated depthwise convolution
 never reads across an item boundary, and attention and global layer
 normalization run per item, so no other layer couples the items.  A batch of
-one is the plain (C, T) array.  A cache is a dict filled by a training forward
-and consumed exactly once by the matching backward; eval forwards skip
-caching and are safe to run concurrently on frozen parameters.
+one is the plain (C, T) array with bounds (0, T).  A forward given a cache (a
+dict) is a training forward, and nothing else signals it: it fills the cache
+for the matching backward, which consumes it exactly once, and batch
+normalization takes batch statistics.  Forwards without a cache use running
+statistics and are safe to run concurrently on frozen parameters.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class BatchNormLayer:
     Train statistics cover every column of the packed batch, so a batch of
     one falls back to plain per-utterance time statistics.  ``forward``
     returns ``(y, saved)``; ``backward`` takes the saved statistics of a
-    train-mode forward back.
+    ``train=True`` forward back.
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int):
@@ -87,9 +89,9 @@ class BatchNormLayer:
             store.register_buffer(f"{name}.running_var", np.ones(channels)),
         )
 
-    def forward(self, x: Array, mode: str):
+    def forward(self, x: Array, train: bool):
         y, *saved = nn.batch_norm(
-            x, self.gamma.value, self.beta.value, self.state, mode
+            x, self.gamma.value, self.beta.value, self.state, train=train
         )
         return y, saved
 
@@ -201,16 +203,17 @@ class TCNBlock:
         self.bn2 = BatchNormLayer(store, f"{name}.bn2", width_hidden)
         self.out_conv = Conv1x1(store, f"{name}.out_conv", width_hidden, width_in, rng)
 
-    def forward(self, x: Array, bounds, mode: str, cache: dict | None = None):
+    def forward(self, x: Array, bounds, cache: dict | None = None):
+        train = cache is not None
         h0 = self.in_conv.forward(x)
         h1 = self.prelu1.forward(h0)
-        h2, bn1 = self.bn1.forward(h1, mode)
+        h2, bn1 = self.bn1.forward(h1, train)
         h3 = nn.depthwise_dconv(
             h2, self.dkernel.value, self.dbias.value, self.dilation, bounds
         )
         h4 = self.prelu2.forward(h3)
-        h5, bn2 = self.bn2.forward(h4, mode)
-        if cache is not None:
+        h5, bn2 = self.bn2.forward(h4, train)
+        if train:
             cache.update(x=x, bounds=bounds, h0=h0, bn1=bn1, h2=h2, h3=h3,
                          bn2=bn2, h5=h5)
         return x + self.out_conv.forward(h5)
@@ -249,14 +252,14 @@ class Stage:
         ]
         self.out_proj = Conv1x1(store, f"{name}.out_proj", bottleneck, f, rng)
 
-    def forward(self, x: Array, bounds, mode: str, cache: dict | None = None):
+    def forward(self, x: Array, bounds, cache: dict | None = None):
         sa_cache = {} if cache is not None else None
         a = self.sa.forward(x, bounds, sa_cache)
         h = self.bottleneck.forward(a)
         block_caches = [] if cache is not None else None
         for block in self.blocks:
             bc = {} if cache is not None else None
-            h = block.forward(h, bounds, mode, bc)
+            h = block.forward(h, bounds, bc)
             if cache is not None:
                 block_caches.append(bc)
         mask = nn.sigmoid(self.out_proj.forward(h))

@@ -173,9 +173,9 @@ def cmd_spec_dump(args) -> int:
             f"input is shorter ({len(wav)}) than one frame ({cfg.fft_size})"
         )
     win = dsp.hann_window(cfg.fft_size, cfg.hop)
-    mag, _ = dsp.stft(wav, win)
+    mag, _ = dsp.stft(wav.samples, win)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for row in mag.values:
+        for row in mag:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
     return EXIT_OK

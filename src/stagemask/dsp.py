@@ -1,6 +1,9 @@
-"""STFT analysis and overlap-add synthesis for mono waveforms.
+"""STFT analysis and overlap-add synthesis on plain sample arrays.
 
-Framing is left-aligned (no centering): frame ``tau`` covers samples
+``stft`` takes a 1-D sample array and returns the (F, T) magnitude and phase
+arrays; ``istft`` takes such a pair back to samples.  ``Waveform`` is the
+audio I/O type (WAV files, ``enhance``, metrics) and is unwrapped before the
+STFT.  Framing is left-aligned (no centering): frame ``tau`` covers samples
 ``tau*hop .. tau*hop + n - 1``, and the signal tail is zero-padded so the
 final partial frame is complete.  Synthesis applies the analysis window a
 second time and divides by the accumulated per-sample sum of squared window
@@ -71,53 +74,6 @@ class AnalysisWindow:
         return self.coefficients.shape[0]
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """F x T non-negative magnitude matrix with its frame geometry."""
-
-    values: np.ndarray
-    frame_hop: int
-    fft_size: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"spectrogram must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("spectrogram contains non-finite values")
-        if v.min() < 0.0:
-            raise ValueError("spectrogram magnitudes must be non-negative")
-        if v.shape[0] != self.fft_size // 2 + 1:
-            raise ValueError(
-                f"expected {self.fft_size // 2 + 1} frequency bins for "
-                f"fft_size={self.fft_size}, got {v.shape[0]}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def num_bins(self):
-        return self.values.shape[0]
-
-    @property
-    def num_frames(self):
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class PhaseMatrix:
-    """Companion F x T phase matrix, radians."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"phase matrix must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("phase matrix contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
 def hann_window(n: int, hop: int | None = None) -> AnalysisWindow:
     """Symmetric Hann window ``w[t] = sin^2(pi*t/(n-1))``, default hop ``n//2``.
 
@@ -147,53 +103,46 @@ def padded_length(n_samples: int, win: AnalysisWindow) -> int:
     return (frame_count(n_samples, win) - 1) * win.hop + len(win)
 
 
-def stft(x: Waveform, win: AnalysisWindow) -> tuple[Spectrogram, PhaseMatrix]:
-    """Windowed DFT of every frame; returns magnitude and phase, F = n/2 + 1.
+def stft(samples: np.ndarray, win: AnalysisWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed DFT of every frame of a 1-D sample array.
 
-    Phase of zero-magnitude bins is 0.
+    Returns ``(mag, phase)``, two (F, T) arrays with F = n/2 + 1; the phase
+    of zero-magnitude bins is 0.
     """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {x.shape}")
     n = len(win)
-    t_frames = frame_count(len(x), win)
     xp = np.zeros(padded_length(len(x), win))
-    xp[: len(x)] = x.samples
+    xp[: len(x)] = x
     frames = np.lib.stride_tricks.sliding_window_view(xp, n)[:: win.hop]
-    assert frames.shape[0] == t_frames
     spec = np.fft.rfft(frames * win.coefficients, axis=1)
-    mag = np.abs(spec).T
-    phase = np.angle(spec).T
-    return Spectrogram(mag, win.hop, n), PhaseMatrix(phase)
+    return np.abs(spec).T, np.angle(spec).T
 
 
 def istft(
-    mag: Spectrogram,
-    phase: PhaseMatrix,
-    win: AnalysisWindow,
-    out_len: int,
-    sample_rate: int,
-) -> Waveform:
-    """Inverse DFT per frame, windowed overlap-add, per-sample normalization.
+    mag: np.ndarray, phase: np.ndarray, win: AnalysisWindow, out_len: int
+) -> np.ndarray:
+    """Inverse DFT per (F, T) frame, windowed overlap-add, per-sample
+    normalization; returns the first ``out_len`` samples.
 
     Divides by the accumulated sum of squared window values (floored at 1e-8,
     so edge samples with vanishing coverage decay to zero instead of blowing
     up).  Raises CoverageError when out_len extends past the last frame.
     """
-    if mag.values.shape != phase.values.shape:
-        raise ValueError(
-            f"magnitude shape {mag.values.shape} != phase shape {phase.values.shape}"
-        )
-    n = mag.fft_size
-    if len(win) != n:
-        raise ValueError(f"window length {len(win)} != fft size {n}")
-    if mag.frame_hop != win.hop:
-        raise ValueError(f"spectrogram hop {mag.frame_hop} != window hop {win.hop}")
-    t_frames = mag.num_frames
+    if mag.shape != phase.shape:
+        raise ValueError(f"magnitude shape {mag.shape} != phase shape {phase.shape}")
+    n = len(win)
+    if mag.ndim != 2 or mag.shape[0] != n // 2 + 1:
+        raise ValueError(f"expected ({n // 2 + 1}, T) spectra, got {mag.shape}")
+    t_frames = mag.shape[1]
     span = (t_frames - 1) * win.hop + n
     if out_len > span:
         raise CoverageError(
             f"requested {out_len} samples but frames only cover {span}"
         )
 
-    frames = np.fft.irfft(mag.values * np.exp(1j * phase.values), n=n, axis=0)
+    frames = np.fft.irfft(mag * np.exp(1j * phase), n=n, axis=0)
     out = np.zeros(span)
     denom = np.zeros(span)
     w = win.coefficients
@@ -203,4 +152,4 @@ def istft(
         out[s : s + n] += w * frames[:, tau]
         denom[s : s + n] += w_sq
     out /= np.maximum(denom, _DENOM_FLOOR)
-    return Waveform(out[:out_len], sample_rate)
+    return out[:out_len]

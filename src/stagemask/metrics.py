@@ -128,7 +128,7 @@ def evaluate_set(
         si_enh.append(si_sdr(enhanced, clean))
         sn_noisy.append(snr_db(noisy, clean))
         sn_enh.append(snr_db(enhanced, clean))
-        stage_l1, _ = total_loss_batch(trace, [model.analyze(clean)[0].values])
+        stage_l1, _ = total_loss_batch(trace, [model.analyze(clean)[0]])
         stage_rows.append(tuple(stage_l1))
     return MetricReport(
         tuple(si_noisy), tuple(si_enh), tuple(sn_noisy), tuple(sn_enh),

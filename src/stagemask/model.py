@@ -5,13 +5,15 @@ stage sees a fusion of (previous mask applied to the original magnitude) with
 the running estimate.  Estimates cascade multiplicatively, so they can only
 shrink: ``est[k] = mask[k] * est[k-1]`` with ``est[0]`` the input.
 
-``forward_batch`` packs a list of (F, T_i) magnitudes into one (F, sum T_i)
-array with item bounds (see ``blocks``), and every tensor of the resulting
-trace is packed the same way.  Batch normalization couples the items in train
-mode (statistics over batch x time); everything else treats them
-independently.  A single utterance is a batch of one: ``enhance`` runs
-``forward_batch([mag])`` on the magnitude that ``analyze`` produces and hands
-the trace back, so per-stage losses come from the same forward.
+``forward_batch`` packs a list of (F, T_i) magnitude arrays into one
+(F, sum T_i) array with item bounds (see ``blocks``), and every tensor of the
+resulting trace is packed the same way.  Its ``mode`` is the only train
+switch; below it, a stage given a cache runs a training forward.  Batch
+normalization couples the items in train mode (statistics over batch x time);
+everything else treats them independently.  A single utterance is a batch of
+one: ``enhance`` masks the magnitude array that ``analyze`` produces through
+``forward_batch([mag])``, resynthesizes with the noisy phase and hands the
+trace back, so per-stage losses come from the same forward.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class ModelConfig:
 
 @dataclass
 class BatchTrace:
-    """Everything one batched forward produced, plus caches when training.
+    """Everything one batched forward produced, plus caches when training
+    (a trace without stage caches came from an eval forward).
 
     Every array is packed: item i holds columns ``bounds[i]:bounds[i + 1]``.
     ``masks[k]`` is stage k+1's mask; ``estimates[k]`` the cascade after
@@ -86,7 +89,6 @@ class BatchTrace:
     bounds: tuple[int, ...]
     masks: list[Array]
     estimates: list[Array]
-    mode: str
     stage_caches: list | None = None
     fusion_caches: list | None = None
 
@@ -154,23 +156,19 @@ class MultiStageModel:
                 if train:
                     fusion_caches.append(fc)
             sc = {} if train else None
-            mask = stage.forward(xin, bounds, mode, sc)
+            mask = stage.forward(xin, bounds, sc)
             if train:
                 stage_caches.append(sc)
             masks.append(mask)
             estimates.append(mask * estimates[k - 1])
-        return BatchTrace(x, bounds, masks, estimates, mode, stage_caches,
-                          fusion_caches)
+        return BatchTrace(x, bounds, masks, estimates, stage_caches, fusion_caches)
 
     # -- backward -----------------------------------------------------------
 
-    def backward_batch(
-        self, trace: BatchTrace, cleans: list[Array], scale: float = 1.0
-    ) -> Array:
-        """Accumulate parameter gradients of ``scale * mean-over-items of the
-        per-item total losses`` and return the packed gradient w.r.t. the
-        inputs."""
-        if trace.mode != "train":
+    def backward_batch(self, trace: BatchTrace, cleans: list[Array]) -> Array:
+        """Accumulate parameter gradients of the mean per-item total loss and
+        return the packed gradient w.r.t. the inputs."""
+        if trace.stage_caches is None:
             raise ValueError("backward needs a trace from a train-mode forward")
         cleans = _check_targets(trace, cleans)
         k_stages = self.config.stages
@@ -183,7 +181,7 @@ class MultiStageModel:
         g_loss = nn.mean_abs_loss_backward(
             np.stack(est[1:]), np.concatenate(cleans, axis=1), counts
         )
-        g_est = [np.zeros_like(x)] + list(g_loss * (scale / trace.n_items))
+        g_est = [np.zeros_like(x)] + list(g_loss * (1.0 / trace.n_items))
         g_masks = [np.zeros_like(x) for _ in range(k_stages)]
         gx = np.zeros_like(x)
         for k in range(k_stages, 0, -1):
@@ -209,30 +207,28 @@ class MultiStageModel:
 
     # -- inference ----------------------------------------------------------
 
-    def analyze(self, x: dsp.Waveform) -> tuple[dsp.Spectrogram, dsp.PhaseMatrix]:
-        """STFT of ``x`` with one hop of zeros on each side, which keeps every
-        real sample where frames fully overlap: overlap-add division is
-        ill-conditioned for masked spectra where the window barely reaches."""
+    def analyze(self, x: dsp.Waveform) -> tuple[Array, Array]:
+        """(F, T) magnitude and phase of ``x`` with one hop of zeros on each
+        side, which keeps every real sample where frames fully overlap:
+        overlap-add division is ill-conditioned for masked spectra where the
+        window barely reaches."""
         if len(x) < self.config.fft_size:
             raise ValueError(
                 f"input length {len(x)} is shorter than one frame "
                 f"({self.config.fft_size})"
             )
         hop = self.config.hop
-        padded = dsp.Waveform(
-            np.concatenate([np.zeros(hop), x.samples, np.zeros(hop)]), x.sample_rate
-        )
+        padded = np.concatenate([np.zeros(hop), x.samples, np.zeros(hop)])
         return dsp.stft(padded, self.window)
 
     def enhance(self, x: dsp.Waveform) -> tuple[dsp.Waveform, BatchTrace]:
         """``analyze``, mask through all stages, resynthesize with the input's
         own phase; returns the input-length waveform and the forward's trace."""
         mag, phase = self.analyze(x)
-        trace = self.forward_batch([mag.values], "eval")
+        trace = self.forward_batch([mag], "eval")
         hop = self.config.hop
-        out_mag = dsp.Spectrogram(trace.estimates[-1], hop, self.config.fft_size)
-        out = dsp.istft(out_mag, phase, self.window, hop + len(x), x.sample_rate)
-        return dsp.Waveform(out.samples[hop:], x.sample_rate), trace
+        out = dsp.istft(trace.estimates[-1], phase, self.window, hop + len(x))
+        return dsp.Waveform(out[hop:], x.sample_rate), trace
 
     # -- bookkeeping --------------------------------------------------------
 

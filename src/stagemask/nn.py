@@ -2,9 +2,11 @@
 
 Tensors are plain float64 numpy arrays.  Every op comes as a forward function
 plus a matching ``*_backward`` that maps the output gradient to input and
-parameter gradients; there is no graph or tape.  The norm ops also return the
-normalized input and inverse standard deviation they computed; their backward
-passes take those instead of the input and hold only for train-mode forwards.
+parameter gradients; there is no graph or tape.  Ops that must not mix packed
+items take the item ``bounds`` as a required argument; one item is (0, T).
+The norm ops also return the normalized input and inverse standard deviation
+they computed; their backward passes take those instead of the input and hold
+only for train forwards (``batch_norm(..., train=True)``).
 Parameter values are kept exactly representable in float32 (arithmetic still
 runs in float64) so the 32-bit checkpoint format round-trips bit-exactly.
 """
@@ -154,10 +156,8 @@ def pointwise_conv_backward(dy: Array, x: Array, weight: Array):
 def segments(bounds, t: int) -> tuple[tuple[int, int], ...]:
     """(start, stop) column pairs of the items packed in a (C, t) array.
 
-    ``bounds`` is (0, T_1, T_1 + T_2, ..., t); None means a single item.
+    ``bounds`` is (0, T_1, T_1 + T_2, ..., t); a single item is (0, t).
     """
-    if bounds is None:
-        return ((0, t),)
     if bounds[0] != 0 or bounds[-1] != t:
         raise ValueError(f"segment bounds {bounds} do not span {t} columns")
     return tuple(zip(bounds[:-1], bounds[1:]))
@@ -166,7 +166,7 @@ def segments(bounds, t: int) -> tuple[tuple[int, int], ...]:
 def _crossing(bounds, offset: int, t: int) -> list[slice]:
     """Output columns whose tap at ``offset`` would read across an interior
     segment boundary; taps beyond the packed array's ends read padding."""
-    if bounds is None or offset == 0:
+    if offset == 0:
         return []
     if offset > 0:
         return [slice(max(b - offset, 0), b) for b in bounds[1:-1]]
@@ -174,7 +174,7 @@ def _crossing(bounds, offset: int, t: int) -> list[slice]:
 
 
 def depthwise_dconv(
-    x: Array, kernel: Array, bias: Array, dilation: int, bounds=None
+    x: Array, kernel: Array, bias: Array, dilation: int, bounds
 ) -> Array:
     """Per-channel dilated convolution, zero-padded so output length equals T.
 
@@ -206,7 +206,7 @@ def depthwise_dconv(
 
 
 def depthwise_dconv_backward(
-    dy: Array, x: Array, kernel: Array, dilation: int, bounds=None
+    dy: Array, x: Array, kernel: Array, dilation: int, bounds
 ):
     c, t = x.shape
     p_taps = kernel.shape[1]
@@ -242,16 +242,15 @@ def prelu_backward(dy: Array, x: Array, slope: Array):
 
 
 def batch_norm(
-    x: Array, gamma: Array, beta: Array, state: BatchNormState, mode: str
+    x: Array, gamma: Array, beta: Array, state: BatchNormState, *, train: bool
 ) -> tuple[Array, Array, Array]:
-    """Per-channel normalization over time; train mode updates running stats.
+    """Per-channel normalization over time: batch statistics that also update
+    the running ones when ``train``, else the running statistics.
 
     Returns ``(y, xhat, inv_std)``; after a train forward the last two are
     what ``batch_norm_backward`` needs.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train":
+    if train:
         mean, var = x.mean(axis=1), x.var(axis=1)
         t = x.shape[1]
         unbiased = var * t / (t - 1) if t > 1 else var
@@ -280,7 +279,7 @@ def batch_norm_backward(dy: Array, xhat: Array, inv_std: Array, gamma: Array):
 
 
 def global_layer_norm(
-    x: Array, gamma: Array, beta: Array, bounds=None
+    x: Array, gamma: Array, beta: Array, bounds
 ) -> tuple[Array, Array, Array]:
     """Normalize each item by the mean/variance over all its entries jointly;
     affine per row.  ``bounds`` splits packed items (see ``segments``).
@@ -300,7 +299,7 @@ def global_layer_norm(
 
 
 def global_layer_norm_backward(
-    dy: Array, xhat: Array, inv_std: Array, gamma: Array, bounds=None
+    dy: Array, xhat: Array, inv_std: Array, gamma: Array, bounds
 ):
     dx = np.empty_like(dy)
     g = dy * gamma

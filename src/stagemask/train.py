@@ -149,10 +149,8 @@ def batch_spectra(
     xs, cleans = [], []
     for i in range(batch.noisy.shape[0]):
         t_frames = dsp.frame_count(int(batch.lengths[i]), win)
-        x_mag, _ = dsp.stft(dsp.Waveform(batch.noisy[i], batch.sample_rate), win)
-        s_mag, _ = dsp.stft(dsp.Waveform(batch.clean[i], batch.sample_rate), win)
-        xs.append(x_mag.values[:, :t_frames])
-        cleans.append(s_mag.values[:, :t_frames])
+        xs.append(dsp.stft(batch.noisy[i], win)[0][:, :t_frames])
+        cleans.append(dsp.stft(batch.clean[i], win)[0][:, :t_frames])
     return xs, cleans
 
 
@@ -376,8 +374,13 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
                 f"unexpected tensors without optimizer state: {sorted(tensors)[:3]}",
                 end,
             )
+        step = tensors.pop("adam.step")
+        if step.shape != (1,) or not (step[0] >= 0 and float(step[0]).is_integer()):
+            raise FormatError(
+                f"adam.step must hold one non-negative integer, got {step!r}", end
+            )
         state = AdamState(model.store)
-        state.step = int(tensors.pop("adam.step")[0])
+        state.step = int(step[0])
         for prefix, vector in (("adam.m.", state.m), ("adam.v.", state.v)):
             views = ((prefix + name, v) for name, v in model.store.views(vector))
             _fill(tensors, views, "optimizer tensor", end)

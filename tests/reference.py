@@ -259,7 +259,7 @@ def constant_masks(monkeypatch, model, value):
     for stage in model.stages:
         monkeypatch.setattr(
             stage, "forward",
-            lambda xin, bounds, mode, cache=None: np.full_like(xin, value),
+            lambda xin, bounds, cache=None: np.full_like(xin, value),
         )
 
 

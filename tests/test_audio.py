@@ -3,7 +3,7 @@ import wave
 import numpy as np
 import pytest
 
-from stagemask import dsp
+from stagemask import cli, dsp
 from stagemask.audio import (
     WavFormatError,
     mix_at_snr,
@@ -76,6 +76,19 @@ class TestWavIO:
         path = tmp_path / "r.wav"
         write_wav(path, wf)
         assert read_wav(path).sample_rate == 16000
+
+    def test_zero_sample_rate_rejected(self, tmp_path, capsys):
+        path = tmp_path / "r0.wav"
+        write_wav(path, dsp.Waveform(np.zeros(600), 16000))
+        data = bytearray(path.read_bytes())
+        data[24:28] = bytes(4)  # the fmt chunk's sample rate
+        path.write_bytes(bytes(data))
+        with pytest.raises(WavFormatError, match="sample rate") as exc:
+            read_wav(path)
+        assert str(path) in str(exc.value)
+        rc = cli.run(["spec-dump", "--in", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestMixAtSnr:
@@ -169,8 +182,8 @@ class TestSynthToyDataset:
         # at least 80% of the energy of every frame in at most 8 bins
         win = dsp.hann_window(128, 64)
         for item in synth_toy_dataset(4, seed=8):
-            mag, _ = dsp.stft(item.clean, win)
-            power = mag.values ** 2
+            mag, _ = dsp.stft(item.clean.samples, win)
+            power = mag ** 2
             for t in range(power.shape[1]):
                 col = np.sort(power[:, t])[::-1]
                 total = col.sum()

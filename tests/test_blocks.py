@@ -23,6 +23,11 @@ def _one(x):
     return (0, x.shape[1])
 
 
+def _cache(mode):
+    """A train forward is one given a cache."""
+    return {} if mode == "train" else None
+
+
 def _sa(f, seed=0):
     store = nn.ParamStore()
     return SABlock(store, "sa", f, np.random.default_rng(seed)), store
@@ -60,7 +65,7 @@ class TestReceptiveField:
         def run(x):
             h = x
             for blk in blocks:
-                h = blk.forward(h, _one(h), "eval")
+                h = blk.forward(h, _one(h))
             return h
 
         rng_x = np.random.default_rng(12)
@@ -176,13 +181,13 @@ class TestTCNBlock:
         block.out_conv.weight.value = np.zeros((4, 6))
         block.out_conv.bias.value = np.zeros(4)
         x = np.random.default_rng(15).standard_normal((4, 10))
-        np.testing.assert_array_equal(block.forward(x, _one(x), "train"), x)
+        np.testing.assert_array_equal(block.forward(x, _one(x), {}), x)
 
     @pytest.mark.parametrize("dilation", [1, 2, 8])
     def test_output_shape_preserved(self, dilation):
         block, _ = _tcn(4, 6, 3, dilation, seed=16)
         x = np.random.default_rng(17).standard_normal((4, 7))
-        assert block.forward(x, _one(x), "eval").shape == (4, 7)
+        assert block.forward(x, _one(x)).shape == (4, 7)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_scalar_oracle(self, mode):
@@ -191,7 +196,8 @@ class TestTCNBlock:
         randomize_params(store, rng)
         x = rng.standard_normal((4, 9))
         expected = ref_tcn_block(x, block, mode)
-        np.testing.assert_allclose(block.forward(x, _one(x), mode), expected, atol=1e-10)
+        y = block.forward(x, _one(x), _cache(mode))
+        np.testing.assert_allclose(y, expected, atol=1e-10)
 
     def test_grad_full_block(self):
         block, store = _tcn(4, 6, 3, 2, seed=20)
@@ -201,7 +207,7 @@ class TestTCNBlock:
 
         def fn(x):
             cache = {}
-            y = block.forward(x, _one(x), "train", cache)
+            y = block.forward(x, _one(x), cache)
             store.zero_grads()
             dx = block.backward(c, cache)
             return float((c * y).sum()), dx
@@ -219,7 +225,7 @@ class TestStage:
         stage, store = self._stage()
         rng = np.random.default_rng(23)
         randomize_params(store, rng)
-        mask = stage.forward(np.abs(rng.standard_normal((9, 6))), (0, 6), "eval")
+        mask = stage.forward(np.abs(rng.standard_normal((9, 6))), (0, 6))
         assert np.all(mask > 0.0)
         assert np.all(mask < 1.0)
 
@@ -228,7 +234,7 @@ class TestStage:
         stage.out_proj.weight.value = np.zeros((9, 4))
         stage.out_proj.bias.value = np.zeros(9)
         x = np.abs(np.random.default_rng(25).standard_normal((9, 5)))
-        np.testing.assert_array_equal(stage.forward(x, _one(x), "eval"), np.full((9, 5), 0.5))
+        np.testing.assert_array_equal(stage.forward(x, _one(x)), np.full((9, 5), 0.5))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_scalar_oracle(self, mode):
@@ -237,7 +243,8 @@ class TestStage:
         randomize_params(store, rng, scale=0.2)
         x = np.abs(rng.standard_normal((9, 4)))
         expected = ref_stage(x, stage, mode)
-        np.testing.assert_allclose(stage.forward(x, _one(x), mode), expected, atol=1e-10)
+        y = stage.forward(x, _one(x), _cache(mode))
+        np.testing.assert_allclose(y, expected, atol=1e-10)
 
     def test_dilations_restart_per_stack(self):
         stage, _ = self._stage()

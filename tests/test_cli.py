@@ -163,8 +163,8 @@ class TestSpecDump:
         write_wav(wav1, dsp.Waveform(x, 16000))
         decoded = read_wav(wav1)
         win = dsp.hann_window(512, 256)
-        mag, phase = dsp.stft(decoded, win)
-        rt = dsp.istft(mag, phase, win, len(decoded), 16000)
+        mag, phase = dsp.stft(decoded.samples, win)
+        rt = dsp.Waveform(dsp.istft(mag, phase, win, len(decoded)), 16000)
         wav2 = tmp_path / "rt.wav"
         write_wav(wav2, rt)
         csv1 = tmp_path / "orig.csv"

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from stagemask import dsp
+from stagemask.model import ModelConfig, MultiStageModel
 
 from reference import naive_dft
 
 
-def _rand_waveform(rng, n, rate=16000):
-    return dsp.Waveform(rng.standard_normal(n) * 0.1, rate)
+def _rand_samples(rng, n):
+    return rng.standard_normal(n) * 0.1
 
 
 class TestHannWindow:
@@ -43,76 +44,70 @@ class TestHannWindow:
 
 class TestStft:
     def test_zero_input_zero_mag_zero_phase(self):
-        x = dsp.Waveform(np.zeros(1024), 8000)
-        mag, phase = dsp.stft(x, dsp.hann_window(128, 64))
-        assert np.all(mag.values == 0.0)
-        assert np.all(phase.values == 0.0)
+        mag, phase = dsp.stft(np.zeros(1024), dsp.hann_window(128, 64))
+        assert np.all(mag == 0.0)
+        assert np.all(phase == 0.0)
 
     def test_bin_count(self):
-        x = dsp.Waveform(np.zeros(2048), 16000)
-        mag, _ = dsp.stft(x, dsp.hann_window(512, 256))
-        assert mag.values.shape[0] == 257
+        mag, _ = dsp.stft(np.zeros(2048), dsp.hann_window(512, 256))
+        assert mag.shape[0] == 257
 
     def test_cosine_peaks_at_its_bin(self):
         n, hop, k = 128, 64, 5
         t = np.arange(n * 6)
-        x = dsp.Waveform(np.cos(2 * np.pi * k * t / n), 8000)
-        mag, _ = dsp.stft(x, dsp.hann_window(n, hop))
+        mag, _ = dsp.stft(np.cos(2 * np.pi * k * t / n), dsp.hann_window(n, hop))
         # frames fully inside the signal (last frame may cover padding)
-        for tau in range(mag.values.shape[1] - 1):
-            assert int(np.argmax(mag.values[:, tau])) == k
+        for tau in range(mag.shape[1] - 1):
+            assert int(np.argmax(mag[:, tau])) == k
 
     def test_matches_direct_dft(self):
         rng = np.random.default_rng(3)
         n, hop = 16, 8
-        x = _rand_waveform(rng, 40)
+        x = _rand_samples(rng, 40)
         win = dsp.hann_window(n, hop)
         mag, phase = dsp.stft(x, win)
         xp = np.zeros(dsp.padded_length(len(x), win))
-        xp[: len(x)] = x.samples
-        for tau in range(mag.values.shape[1]):
+        xp[: len(x)] = x
+        for tau in range(mag.shape[1]):
             frame = [
                 win.coefficients[i] * xp[tau * hop + i] for i in range(n)
             ]
             spec = naive_dft(frame)
             for w in range(n // 2 + 1):
-                assert abs(abs(spec[w]) - mag.values[w, tau]) < 1e-9
+                assert abs(abs(spec[w]) - mag[w, tau]) < 1e-9
 
     def test_parseval_per_frame(self):
         rng = np.random.default_rng(4)
         n = 32
-        x = _rand_waveform(rng, n)
+        x = _rand_samples(rng, n)
         win = dsp.hann_window(n, n // 2)
         mag, _ = dsp.stft(x, win)
-        windowed = win.coefficients * x.samples
+        windowed = win.coefficients * x
         time_energy = float(np.sum(windowed ** 2))
-        m = mag.values[:, 0]
+        m = mag[:, 0]
         spec_energy = (m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2)) / n
         assert abs(spec_energy - time_energy) / time_energy < 1e-9
 
     def test_linear_in_amplitude(self):
         rng = np.random.default_rng(5)
-        x = _rand_waveform(rng, 1000)
+        x = _rand_samples(rng, 1000)
         win = dsp.hann_window(128, 64)
         mag1, ph1 = dsp.stft(x, win)
-        mag2, ph2 = dsp.stft(dsp.Waveform(2.5 * x.samples, x.sample_rate), win)
-        np.testing.assert_allclose(mag2.values, 2.5 * mag1.values, rtol=1e-12)
-        nonzero = mag1.values > 1e-12
-        np.testing.assert_allclose(
-            ph2.values[nonzero], ph1.values[nonzero], atol=1e-9
-        )
+        mag2, ph2 = dsp.stft(2.5 * x, win)
+        np.testing.assert_allclose(mag2, 2.5 * mag1, rtol=1e-12)
+        nonzero = mag1 > 1e-12
+        np.testing.assert_allclose(ph2[nonzero], ph1[nonzero], atol=1e-9)
 
     def test_rectangular_window_dc_frame(self):
         n = 64
         win = dsp.AnalysisWindow(np.ones(n), n)
-        x = dsp.Waveform(np.ones(n), 8000)
-        mag, _ = dsp.stft(x, win)
-        assert mag.values[0, 0] == pytest.approx(n, rel=1e-12)
-        assert np.all(mag.values[1:, 0] < 1e-9)
+        mag, _ = dsp.stft(np.ones(n), win)
+        assert mag[0, 0] == pytest.approx(n, rel=1e-12)
+        assert np.all(mag[1:, 0] < 1e-9)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            dsp.stft(dsp.Waveform(np.zeros(100), 8000), dsp.hann_window(128, 64))
+            dsp.stft(np.zeros(100), dsp.hann_window(128, 64))
 
 
 class TestIstft:
@@ -121,42 +116,39 @@ class TestIstft:
         win = dsp.hann_window(512, 256)
         for _ in range(3):
             n = int(rng.integers(4 * 512, 6 * 512))
-            x = _rand_waveform(rng, n)
+            x = _rand_samples(rng, n)
             mag, phase = dsp.stft(x, win)
-            y = dsp.istft(mag, phase, win, len(x), x.sample_rate)
+            y = dsp.istft(mag, phase, win, len(x))
             interior = slice(512, n - 512)
-            err = np.linalg.norm(y.samples[interior] - x.samples[interior])
-            err /= np.linalg.norm(x.samples[interior])
+            err = np.linalg.norm(y[interior] - x[interior])
+            err /= np.linalg.norm(x[interior])
             assert err < 1e-6
 
     def test_zero_magnitude_gives_zero(self):
-        mag = dsp.Spectrogram(np.zeros((65, 10)), 64, 128)
-        phase = dsp.PhaseMatrix(np.zeros((65, 10)))
-        y = dsp.istft(mag, phase, dsp.hann_window(128, 64), 500, 8000)
-        assert np.all(y.samples == 0.0)
+        zeros = np.zeros((65, 10))
+        y = dsp.istft(zeros, zeros, dsp.hann_window(128, 64), 500)
+        assert np.all(y == 0.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        x = _rand_waveform(rng, 2000, 8000)
+        x = _rand_samples(rng, 2000)
         win = dsp.hann_window(128, 64)
         mag, phase = dsp.stft(x, win)
-        y1 = dsp.istft(mag, phase, win, len(x), 8000)
-        doubled = dsp.Spectrogram(2.0 * mag.values, 64, 128)
-        y2 = dsp.istft(doubled, phase, win, len(x), 8000)
-        np.testing.assert_allclose(y2.samples, 2.0 * y1.samples, atol=1e-12)
+        y1 = dsp.istft(mag, phase, win, len(x))
+        y2 = dsp.istft(2.0 * mag, phase, win, len(x))
+        np.testing.assert_allclose(y2, 2.0 * y1, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        mag = dsp.Spectrogram(np.zeros((65, 10)), 64, 128)
-        phase = dsp.PhaseMatrix(np.zeros((65, 9)))
         with pytest.raises(ValueError):
-            dsp.istft(mag, phase, dsp.hann_window(128, 64), 100, 8000)
+            dsp.istft(
+                np.zeros((65, 10)), np.zeros((65, 9)), dsp.hann_window(128, 64), 100
+            )
 
     def test_beyond_span_rejected(self):
-        mag = dsp.Spectrogram(np.zeros((65, 10)), 64, 128)
-        phase = dsp.PhaseMatrix(np.zeros((65, 10)))
+        zeros = np.zeros((65, 10))
         span = 9 * 64 + 128
         with pytest.raises(dsp.CoverageError):
-            dsp.istft(mag, phase, dsp.hann_window(128, 64), span + 1, 8000)
+            dsp.istft(zeros, zeros, dsp.hann_window(128, 64), span + 1)
 
 
 class TestTypes:
@@ -165,12 +157,26 @@ class TestTypes:
             dsp.Waveform(np.array([0.0, np.nan]), 8000)
 
     def test_spectrogram_rejects_negative(self):
-        with pytest.raises(ValueError):
-            dsp.Spectrogram(-np.ones((65, 4)), 64, 128)
+        # magnitudes out of the STFT are never negative; the model's input
+        # check rejects one that is
+        x = _rand_samples(np.random.default_rng(8), 600)
+        mag, _ = dsp.stft(x, dsp.hann_window(16, 8))
+        assert mag.min() >= 0.0
+        model = MultiStageModel(ModelConfig(stages=1, hidden=2, bottleneck=2, stacks=1,
+                                            blocks_per_stack=1, fft_size=16, hop=8))
+        with pytest.raises(ValueError, match="non-negative"):
+            model.forward_batch([-mag])
 
     def test_spectrogram_bin_count_checked(self):
-        with pytest.raises(ValueError):
-            dsp.Spectrogram(np.zeros((64, 4)), 64, 128)
+        zeros = np.zeros((64, 4))
+        with pytest.raises(ValueError, match="65"):
+            dsp.istft(zeros, zeros, dsp.hann_window(128, 64), 100)
+
+    def test_public_names_resolve(self):
+        import stagemask
+
+        missing = [name for name in stagemask.__all__ if not hasattr(stagemask, name)]
+        assert missing == []
 
     def test_window_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -366,9 +366,9 @@ class TestEnhance:
         constant_masks(monkeypatch, model, 1.0)
         out, _ = model.enhance(x)
         win = dsp.hann_window(64, 32)
-        mag, phase = dsp.stft(x, win)
-        rt = dsp.istft(mag, phase, win, len(x), 8000)
-        np.testing.assert_allclose(out.samples, rt.samples, atol=1e-6)
+        mag, phase = dsp.stft(samples, win)
+        rt = dsp.istft(mag, phase, win, len(x))
+        np.testing.assert_allclose(out.samples, rt, atol=1e-6)
         # with identity masks the padded pipeline reproduces the input itself
         np.testing.assert_allclose(out.samples, x.samples, atol=1e-9)
 

@@ -22,6 +22,11 @@ def _items(x, bounds=BOUNDS):
     return [x[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _one(x):
+    """Bounds of a batch of one."""
+    return (0, x.shape[1])
+
+
 class TestPointwiseConv:
     def test_identity_weight(self):
         x = np.random.default_rng(0).standard_normal((3, 5))
@@ -81,19 +86,19 @@ class TestDepthwiseDconv:
         x = rng.standard_normal((3, 16))
         kernel = np.zeros((3, 3))
         kernel[:, 1] = 1.0
-        y = nn.depthwise_dconv(x, kernel, np.zeros(3), dilation)
+        y = nn.depthwise_dconv(x, kernel, np.zeros(3), dilation, _one(x))
         np.testing.assert_array_equal(y, x)
 
     def test_zero_padding_at_edges(self):
         x = np.ones((1, 9))
         kernel = np.ones((1, 3))
-        y = nn.depthwise_dconv(x, kernel, np.zeros(1), 2)
+        y = nn.depthwise_dconv(x, kernel, np.zeros(1), 2, _one(x))
         np.testing.assert_array_equal(y[0, 2:7], np.full(5, 3.0))
         assert y[0, 0] == 2.0
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            nn.depthwise_dconv(np.ones((2, 8)), np.ones((2, 4)), np.zeros(2), 1)
+            nn.depthwise_dconv(np.ones((2, 8)), np.ones((2, 4)), np.zeros(2), 1, (0, 8))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_grad(self, seed):
@@ -103,16 +108,16 @@ class TestDepthwiseDconv:
         c = _functional(rng, (3, 16))
 
         def fn_x(x):
-            y = nn.depthwise_dconv(x, kernel, bias, 4)
-            dx, _, _ = nn.depthwise_dconv_backward(c, x, kernel, 4)
+            y = nn.depthwise_dconv(x, kernel, bias, 4, _one(x))
+            dx, _, _ = nn.depthwise_dconv_backward(c, x, kernel, 4, _one(x))
             return float((c * y).sum()), dx
 
         x0 = rng.standard_normal((3, 16))
         assert nn.finite_diff_check(fn_x, x0) < 1e-4
 
         def fn_k(k):
-            y = nn.depthwise_dconv(x0, k, bias, 4)
-            _, dk, _ = nn.depthwise_dconv_backward(c, x0, k, 4)
+            y = nn.depthwise_dconv(x0, k, bias, 4, _one(x0))
+            _, dk, _ = nn.depthwise_dconv_backward(c, x0, k, 4, _one(x0))
             return float((c * y).sum()), dk
 
         assert nn.finite_diff_check(fn_k, kernel) < 1e-4
@@ -125,11 +130,11 @@ class TestDepthwiseDconv:
         bias = rng.standard_normal(3)
         dy = rng.standard_normal((3, 16))
         packed = nn.depthwise_dconv(x, kernel, bias, 2, BOUNDS)
-        singles = [nn.depthwise_dconv(xi, kernel, bias, 2) for xi in _items(x)]
+        singles = [nn.depthwise_dconv(xi, kernel, bias, 2, _one(xi)) for xi in _items(x)]
         np.testing.assert_array_equal(packed, np.concatenate(singles, axis=1))
         dx, dk, db = nn.depthwise_dconv_backward(dy, x, kernel, 2, BOUNDS)
         per_item = [
-            nn.depthwise_dconv_backward(dyi, xi, kernel, 2)
+            nn.depthwise_dconv_backward(dyi, xi, kernel, 2, _one(xi))
             for dyi, xi in zip(_items(dy), _items(x))
         ]
         np.testing.assert_array_equal(dx, np.concatenate([r[0] for r in per_item], axis=1))
@@ -202,7 +207,7 @@ class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 200)) * 3 + 1
-        y, _, _ = nn.batch_norm(x, np.ones(4), np.zeros(4), self._state(4), "train")
+        y, _, _ = nn.batch_norm(x, np.ones(4), np.zeros(4), self._state(4), train=True)
         assert np.all(np.abs(y.mean(axis=1)) < 1e-6)
         assert np.all(np.abs(y.var(axis=1) - 1) < 1e-4)
 
@@ -210,20 +215,25 @@ class TestBatchNorm:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 10))
         beta = np.array([1.0, -2.0, 0.5])
-        y, _, _ = nn.batch_norm(x, np.zeros(3), beta, self._state(3), "train")
+        y, _, _ = nn.batch_norm(x, np.zeros(3), beta, self._state(3), train=True)
         np.testing.assert_allclose(y, np.tile(beta[:, None], (1, 10)))
 
     def test_eval_uses_running_stats(self):
         x = np.full((1, 4), 2.0)
         state = nn.BatchNormState(np.array([1.0]), np.array([4.0]))
-        y, _, _ = nn.batch_norm(x, np.ones(1), np.zeros(1), state, "eval")
+        y, _, _ = nn.batch_norm(x, np.ones(1), np.zeros(1), state, train=False)
         np.testing.assert_allclose(y, (2.0 - 1.0) / np.sqrt(4.0 + nn.BN_EPS))
+
+    def test_train_is_keyword_only(self):
+        # a leftover mode string must not be read as a truthy flag
+        with pytest.raises(TypeError):
+            nn.batch_norm(np.ones((1, 4)), np.ones(1), np.zeros(1), self._state(1), "eval")
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 50))
         state = self._state(2)
-        nn.batch_norm(x, np.ones(2), np.zeros(2), state, "train")
+        nn.batch_norm(x, np.ones(2), np.zeros(2), state, train=True)
         expected = 0.1 * x.mean(axis=1)
         np.testing.assert_allclose(state.running_mean, expected, atol=1e-7)
 
@@ -236,7 +246,7 @@ class TestBatchNorm:
 
         def fn(x):
             state = self._state(3)
-            y, xhat, inv_std = nn.batch_norm(x, gamma, beta, state, "train")
+            y, xhat, inv_std = nn.batch_norm(x, gamma, beta, state, train=True)
             dx, _, _ = nn.batch_norm_backward(c, xhat, inv_std, gamma)
             return float((c * y).sum()), dx
 
@@ -250,7 +260,7 @@ class TestBatchNorm:
         c = _functional(rng, (3, 9))
 
         def fn_gamma(g):
-            y, xhat, inv_std = nn.batch_norm(x, g, beta, self._state(3), "train")
+            y, xhat, inv_std = nn.batch_norm(x, g, beta, self._state(3), train=True)
             _, dg, _ = nn.batch_norm_backward(c, xhat, inv_std, g)
             return float((c * y).sum()), dg
 
@@ -262,7 +272,9 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 16)) * 2 + 1  # the three items of BOUNDS
         gamma = rng.uniform(0.5, 1.5, size=4)
         dy = rng.standard_normal((4, 16))
-        _, xhat, inv_std = nn.batch_norm(x, gamma, np.zeros(4), self._state(4), "train")
+        _, xhat, inv_std = nn.batch_norm(
+            x, gamma, np.zeros(4), self._state(4), train=True
+        )
         got = nn.batch_norm_backward(dy, xhat, inv_std, gamma)
         for g, want in zip(got, ref_batch_norm_backward(dy, x, gamma)):
             np.testing.assert_allclose(g, want, rtol=1e-12)
@@ -272,7 +284,7 @@ class TestGlobalLayerNorm:
     def test_normalizes_globally(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 50)) * 2 + 3
-        y, _, _ = nn.global_layer_norm(x, np.ones((8, 1)), np.zeros((8, 1)))
+        y, _, _ = nn.global_layer_norm(x, np.ones((8, 1)), np.zeros((8, 1)), _one(x))
         assert abs(y.mean()) < 1e-7
         assert abs(y.var() - 1) < 1e-5
 
@@ -280,10 +292,10 @@ class TestGlobalLayerNorm:
         # 3.5 over a power-of-two count keeps the mean exact, so the
         # numerator is exactly zero
         x = np.full((4, 8), 3.5)
-        y, _, _ = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)))
+        y, _, _ = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)), _one(x))
         np.testing.assert_array_equal(y, np.zeros((4, 8)))
         x = np.full((4, 6), 3.7)
-        y, _, _ = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)))
+        y, _, _ = nn.global_layer_norm(x, np.ones((4, 1)), np.zeros((4, 1)), _one(x))
         np.testing.assert_allclose(y, np.zeros((4, 6)), atol=1e-10)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -293,8 +305,8 @@ class TestGlobalLayerNorm:
         c = _functional(rng, (8, 5))
 
         def fn(x):
-            y, xhat, inv_std = nn.global_layer_norm(x, gamma, np.zeros((8, 1)))
-            dx, _, _ = nn.global_layer_norm_backward(c, xhat, inv_std, gamma)
+            y, xhat, inv_std = nn.global_layer_norm(x, gamma, np.zeros((8, 1)), _one(x))
+            dx, _, _ = nn.global_layer_norm_backward(c, xhat, inv_std, gamma, _one(c))
             return float((c * y).sum()), dx
 
         assert nn.finite_diff_check(fn, rng.standard_normal((8, 5))) < 1e-4
@@ -307,7 +319,9 @@ class TestGlobalLayerNorm:
         beta = rng.standard_normal((4, 1))
         dy = rng.standard_normal((4, 16))
         packed, xhat, inv_std = nn.global_layer_norm(x, gamma, beta, bounds=BOUNDS)
-        singles = [nn.global_layer_norm(xi.copy(), gamma, beta) for xi in _items(x)]
+        singles = [
+            nn.global_layer_norm(xi.copy(), gamma, beta, _one(xi)) for xi in _items(x)
+        ]
         np.testing.assert_allclose(
             packed, np.concatenate([y for y, _, _ in singles], axis=1), atol=1e-12
         )
@@ -315,7 +329,7 @@ class TestGlobalLayerNorm:
             dy, xhat, inv_std, gamma, bounds=BOUNDS
         )
         per_item = [
-            nn.global_layer_norm_backward(dyi, xhi, si, gamma)
+            nn.global_layer_norm_backward(dyi, xhi, si, gamma, _one(dyi))
             for dyi, (_, xhi, si) in zip(_items(dy), singles)
         ]
         np.testing.assert_allclose(

@@ -209,10 +209,10 @@ class TestPadBatch:
         batch_total = np.mean(item_totals)
         singles = []
         for noisy, clean in pairs:
-            x_mag, _ = dsp.stft(noisy, win)
-            s_mag, _ = dsp.stft(clean, win)
-            single = model.forward_batch([x_mag.values], "eval")
-            singles.append(total_loss_batch(single, [s_mag.values])[1][0])
+            x_mag, _ = dsp.stft(noisy.samples, win)
+            s_mag, _ = dsp.stft(clean.samples, win)
+            single = model.forward_batch([x_mag], "eval")
+            singles.append(total_loss_batch(single, [s_mag])[1][0])
         assert abs(batch_total - np.mean(singles)) < 1e-12
 
     def test_train_mode_losses_ignore_padding(self):
@@ -225,8 +225,8 @@ class TestPadBatch:
         xs_padded, cleans_padded = batch_spectra(batch, win)
         xs_direct, cleans_direct = [], []
         for noisy, clean in pairs:
-            xs_direct.append(dsp.stft(noisy, win)[0].values)
-            cleans_direct.append(dsp.stft(clean, win)[0].values)
+            xs_direct.append(dsp.stft(noisy.samples, win)[0])
+            cleans_direct.append(dsp.stft(clean.samples, win)[0])
         for a, b in zip(xs_padded, xs_direct):
             assert np.array_equal(a, b)
         trace_padded = model.forward_batch(xs_padded, "train")
@@ -245,10 +245,10 @@ class TestPadBatch:
 
         def masked_loss(noisy_samples, clean_samples, valid_len):
             t_frames = dsp.frame_count(valid_len, win)
-            x_mag, _ = dsp.stft(dsp.Waveform(noisy_samples, 8000), win)
-            s_mag, _ = dsp.stft(dsp.Waveform(clean_samples, 8000), win)
-            trace = model.forward_batch([x_mag.values[:, :t_frames]], "eval")
-            return total_loss_batch(trace, [s_mag.values[:, :t_frames]])[1][0]
+            x_mag, _ = dsp.stft(noisy_samples, win)
+            s_mag, _ = dsp.stft(clean_samples, win)
+            trace = model.forward_batch([x_mag[:, :t_frames]], "eval")
+            return total_loss_batch(trace, [s_mag[:, :t_frames]])[1][0]
 
         loss_plain = masked_loss(noisy.samples, clean.samples, 500)
         # silence arrives as batch padding next to a longer companion item
@@ -476,6 +476,26 @@ class TestCheckpoint:
         assert "negative extent -1" in err
         # 52-byte header, name length, "stage1.sa.wq.weight" (19 bytes), rank
         assert f"(offset {56 + 19 + 4})" in err
+
+    @pytest.mark.parametrize("values", [
+        [], [float("nan")], [-1.0], [2.5], [2.0, 3.0],
+    ], ids=["empty", "nan", "negative", "fraction", "two-elements"])
+    def test_bad_adam_step_exits_2(self, tmp_path, capsys, values):
+        def adam_step_bytes(values):
+            head = struct.pack("<i", 9) + b"adam.step" + struct.pack("<ii", 1, len(values))
+            return head + np.asarray(values, dtype="<f4").tobytes()
+
+        data = (FIXTURES / "toy_satcn001.ckpt").read_bytes()
+        good = adam_step_bytes([2.0])
+        assert data.endswith(good)  # the last tensor
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data[: -len(good)] + adam_step_bytes(values))
+        rc = cli.run(["enhance", "--ckpt", str(bad),
+                      "--in", str(FIXTURES / "toy_noisy.wav"),
+                      "--out", str(tmp_path / "o.wav")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(bad) in err and "adam.step" in err
 
 
     @pytest.mark.parametrize("config", [
