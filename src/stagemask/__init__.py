@@ -18,7 +18,6 @@ from .train import (
     adam_step,
     fit,
     load_checkpoint,
-    pad_batch,
     save_checkpoint,
 )
 from .audio import (
@@ -51,7 +50,6 @@ __all__ = [
     "adam_step",
     "fit",
     "load_checkpoint",
-    "pad_batch",
     "save_checkpoint",
     "SynthConfig",
     "ToyItem",

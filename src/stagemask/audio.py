@@ -1,8 +1,10 @@
-"""WAV persistence, SNR-controlled mixing, and toy dataset synthesis.
+"""WAV persistence, SNR-controlled mixing, toy dataset synthesis, manifests.
 
 Only mono PCM16 RIFF/WAVE files are handled.  Sample values map to [-1, 1]
 by 1/32768 in both directions, so data that originated as int16 round-trips
-bit-exactly.
+bit-exactly; writing clamps to [-1, 1].  The toy corpus is a pure function of
+its item count, ``SynthConfig`` (length and sample rate) and seed; the rest
+of the generator is fixed by the module constants below.
 """
 
 from __future__ import annotations
@@ -45,33 +47,21 @@ def read_wav(path: str) -> Waveform:
     return Waveform(samples, rate)
 
 
-def write_wav(path: str, wf: Waveform) -> int:
-    """Write mono PCM16; amplitudes are clamped to [-1, 1].
-
-    Returns the number of samples that had to be clamped.
-    """
-    x = wf.samples
-    clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
-    q = np.clip(np.round(np.clip(x, -1.0, 1.0) * _SCALE), -32768, 32767)
+def write_wav(path: str, wf: Waveform):
+    """Write mono PCM16; amplitudes are clamped to [-1, 1]."""
+    q = np.clip(np.round(np.clip(wf.samples, -1.0, 1.0) * _SCALE), -32768, 32767)
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(wf.sample_rate)
         fh.writeframes(q.astype("<i2").tobytes())
-    return clipped
 
 
-def mix_at_snr(
-    clean: Waveform,
-    noise: Waveform,
-    snr_db: float,
-    rng: np.random.Generator | None = None,
-) -> Waveform:
+def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Scale the noise so the clean-to-noise power ratio hits snr_db exactly.
 
     Powers are mean squares over the full clean span.  Noise shorter than the
-    clean signal is tiled cyclically, from a random offset when an rng is
-    provided.
+    clean signal is tiled cyclically from its first sample.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError(
@@ -81,12 +71,11 @@ def mix_at_snr(
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     n = len(clean)
     noise_seg = noise.samples
+    if not noise_seg.size:
+        raise ValueError("noise signal is empty; SNR undefined")
     if len(noise_seg) < n:
-        offset = int(rng.integers(len(noise_seg))) if rng is not None else 0
-        reps = -(-n // len(noise_seg)) + 1
-        noise_seg = np.tile(np.roll(noise_seg, -offset), reps)[:n]
-    else:
-        noise_seg = noise_seg[:n]
+        noise_seg = np.tile(noise_seg, -(-n // len(noise_seg)))
+    noise_seg = noise_seg[:n]
     p_clean = float(np.mean(clean.samples ** 2))
     p_noise = float(np.mean(noise_seg ** 2))
     if p_clean == 0.0:
@@ -97,23 +86,23 @@ def mix_at_snr(
     return Waveform(clean.samples + gain * noise_seg, clean.sample_rate)
 
 
+# The toy corpus: tones sit well above the noise corner so the mixture is
+# separable by time-frequency masking, the way speech lines stand out of
+# low-frequency ambient noise.
+_SYNTH_SNRS = (0.0, 5.0)
+_SYNTH_F0_RANGE = (420.0, 620.0)
+_SYNTH_TONE_COUNTS = (2, 4)
+_SYNTH_CLEAN_RMS = 0.12
+_SYNTH_NOISE_CORNER_RANGE = (120.0, 250.0)
+_SYNTH_NOISE_FLOOR = 0.02
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs for the desk-scale toy corpus.
-
-    Tones sit well above the noise corner so the mixture is separable by
-    time-frequency masking, the way speech lines stand out of low-frequency
-    ambient noise.
-    """
+    """Length and sample rate of every toy item."""
 
     duration: float = 0.5
     sample_rate: int = 8000
-    snr_set: tuple[float, ...] = (0.0, 5.0)
-    f0_range: tuple[float, float] = (420.0, 620.0)
-    tone_counts: tuple[int, int] = (2, 4)
-    clean_rms: float = 0.12
-    noise_corner_range: tuple[float, float] = (120.0, 250.0)
-    noise_floor: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -143,8 +132,8 @@ def synth_toy_dataset(
     freqs = np.fft.rfftfreq(length, 1.0 / cfg.sample_rate)
     items = []
     for _ in range(n):
-        n_tones = int(rng.integers(cfg.tone_counts[0], cfg.tone_counts[1] + 1))
-        f0 = rng.uniform(*cfg.f0_range)
+        n_tones = int(rng.integers(_SYNTH_TONE_COUNTS[0], _SYNTH_TONE_COUNTS[1] + 1))
+        f0 = rng.uniform(*_SYNTH_F0_RANGE)
         sig = np.zeros(length)
         for k in range(1, n_tones + 1):
             amp = rng.uniform(0.5, 1.0) / k
@@ -152,16 +141,16 @@ def synth_toy_dataset(
             env_phase = rng.uniform(0.0, 2.0 * np.pi)
             env = 0.55 + 0.45 * np.sin(2.0 * np.pi * env_rate * t + env_phase)
             sig += amp * env * np.sin(2.0 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
-        sig *= cfg.clean_rms / np.sqrt(np.mean(sig ** 2))
+        sig *= _SYNTH_CLEAN_RMS / np.sqrt(np.mean(sig ** 2))
         clean = Waveform(sig, cfg.sample_rate)
 
-        corner = rng.uniform(*cfg.noise_corner_range)
-        profile = cfg.noise_floor + 1.0 / (1.0 + (freqs / corner) ** 3)
+        corner = rng.uniform(*_SYNTH_NOISE_CORNER_RANGE)
+        profile = _SYNTH_NOISE_FLOOR + 1.0 / (1.0 + (freqs / corner) ** 3)
         white = rng.standard_normal(length)
         shaped = np.fft.irfft(np.fft.rfft(white) * profile, n=length)
         noise = Waveform(shaped, cfg.sample_rate)
 
-        snr_db = float(cfg.snr_set[int(rng.integers(len(cfg.snr_set)))])
+        snr_db = float(_SYNTH_SNRS[int(rng.integers(len(_SYNTH_SNRS)))])
         noisy = mix_at_snr(clean, noise, snr_db)
         items.append(ToyItem(clean, noisy, snr_db))
     return items

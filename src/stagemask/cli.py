@@ -51,7 +51,13 @@ def _load_checkpoint_checked(path: str) -> MultiStageModel:
     return model
 
 
-def _load_pairs(manifest_path: str):
+def _load_pairs(manifest_path: str, fft_size: int, scored: bool):
+    """(noisy, clean) waveforms of every manifest item.
+
+    Every file must share one sample rate, each pair one length of at least
+    ``fft_size`` samples, and a ``scored`` clean reference must not be
+    silent; otherwise InputError names the item and both files.
+    """
     _require_file(manifest_path, "manifest")
     try:
         rows = audio.read_manifest(manifest_path)
@@ -61,14 +67,28 @@ def _load_pairs(manifest_path: str):
         raise InputError(f"manifest is empty: {manifest_path}")
     base = os.path.dirname(os.path.abspath(manifest_path))
     pairs = []
-    for clean_path, noisy_path, _ in rows:
-        if not os.path.isabs(clean_path):
-            clean_path = os.path.join(base, clean_path)
-        if not os.path.isabs(noisy_path):
-            noisy_path = os.path.join(base, noisy_path)
+    for item, (clean_path, noisy_path, _) in enumerate(rows, start=1):
+        clean_path = os.path.join(base, clean_path)
+        noisy_path = os.path.join(base, noisy_path)
         clean = _read_wav_checked(clean_path, "clean wav")
         noisy = _read_wav_checked(noisy_path, "noisy wav")
-        pairs.append((noisy, clean))
+        rate = pairs[0][0].sample_rate if pairs else noisy.sample_rate
+        if {noisy.sample_rate, clean.sample_rate} != {rate}:
+            problem = (f"sample rates {noisy.sample_rate} Hz (noisy) and "
+                       f"{clean.sample_rate} Hz (clean); the first item's is {rate} Hz")
+        elif len(noisy) != len(clean):
+            problem = f"noisy/clean length mismatch: {len(noisy)} vs {len(clean)}"
+        elif len(noisy) < fft_size:
+            problem = f"shorter ({len(noisy)}) than one frame ({fft_size})"
+        elif scored and not clean.samples.any():
+            problem = "clean reference is silent, so SI-SDR is undefined"
+        else:
+            pairs.append((noisy, clean))
+            continue
+        raise InputError(
+            f"{manifest_path}: item {item}: {problem}: "
+            f"noisy {noisy_path}, clean {clean_path}"
+        )
     return pairs
 
 
@@ -132,7 +152,7 @@ def cmd_train(args) -> int:
         raise InputError("no training manifest (pass --data or set train_manifest)")
     if out is None:
         raise InputError("no checkpoint path (pass --out or set checkpoint)")
-    pairs = _load_pairs(manifest)
+    pairs = _load_pairs(manifest, run.model.fft_size, scored=False)
     model = MultiStageModel(run.model)
     records = fit(model, pairs, run.train, checkpoint_path=out)
     for record in records:
@@ -154,7 +174,7 @@ def cmd_enhance(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_checkpoint_checked(args.ckpt)
-    pairs = _load_pairs(args.manifest)
+    pairs = _load_pairs(args.manifest, model.config.fft_size, scored=True)
     report = metrics.evaluate_set(model, pairs)
     print(report.to_tsv())
     print(report.to_text(), end="")
@@ -242,6 +262,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     except (TrainingDivergedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

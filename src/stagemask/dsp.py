@@ -74,8 +74,8 @@ class AnalysisWindow:
         return self.coefficients.shape[0]
 
 
-def hann_window(n: int, hop: int | None = None) -> AnalysisWindow:
-    """Symmetric Hann window ``w[t] = sin^2(pi*t/(n-1))``, default hop ``n//2``.
+def hann_window(n: int, hop: int) -> AnalysisWindow:
+    """Symmetric Hann window ``w[t] = sin^2(pi*t/(n-1))`` slid by ``hop``.
 
     The second half is mirrored from the first, so the symmetry
     ``w[t] == w[n-1-t]`` holds exactly.
@@ -87,7 +87,7 @@ def hann_window(n: int, hop: int | None = None) -> AnalysisWindow:
         w = np.concatenate([half, half[::-1]])
     else:
         w = np.concatenate([half, half[:-1][::-1]])
-    return AnalysisWindow(w, n // 2 if hop is None else hop)
+    return AnalysisWindow(w, hop)
 
 
 def frame_count(n_samples: int, win: AnalysisWindow) -> int:

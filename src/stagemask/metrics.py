@@ -1,4 +1,8 @@
-"""Desk-scale objective metrics: SI-SDR, plain SNR, per-stage spectral error."""
+"""Desk-scale objective metrics: SI-SDR, plain SNR, per-stage spectral error.
+
+``si_sdr`` and ``snr_db`` score 1-D sample arrays; ``evaluate_set`` unwraps
+the ``Waveform`` pairs it is given.
+"""
 
 from __future__ import annotations
 
@@ -14,27 +18,21 @@ CAP_DB = 100.0
 _RESIDUAL_REL_FLOOR = 1e-20
 
 
-def _samples(x) -> np.ndarray:
-    return x.samples if isinstance(x, dsp.Waveform) else np.asarray(x, dtype=np.float64)
-
-
-def si_sdr(est, ref) -> float:
-    """Scale-invariant signal-to-distortion ratio in dB.
+def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
+    """Scale-invariant signal-to-distortion ratio in dB of two sample arrays.
 
     The estimate is projected onto the reference, so any positive rescaling
     of the estimate leaves the value unchanged.  Capped at +100 dB.
     """
-    e = _samples(est)
-    r = _samples(ref)
-    if e.shape != r.shape:
-        raise ValueError(f"length mismatch: {e.shape} vs {r.shape}")
-    ref_energy = float(r @ r)
+    if est.shape != ref.shape:
+        raise ValueError(f"length mismatch: {est.shape} vs {ref.shape}")
+    ref_energy = float(ref @ ref)
     if ref_energy == 0.0:
         raise ValueError("reference is all zeros; SI-SDR undefined")
-    alpha = float(e @ r) / ref_energy
-    proj = alpha * r
+    alpha = float(est @ ref) / ref_energy
+    proj = alpha * ref
     proj_energy = float(proj @ proj)
-    resid = e - proj
+    resid = est - proj
     resid_energy = float(resid @ resid)
     if proj_energy == 0.0:
         return -CAP_DB
@@ -43,16 +41,15 @@ def si_sdr(est, ref) -> float:
     return float(min(10.0 * np.log10(proj_energy / resid_energy), CAP_DB))
 
 
-def snr_db(est, ref) -> float:
-    """Plain signal-to-noise ratio of est against ref, capped at +100 dB."""
-    e = _samples(est)
-    r = _samples(ref)
-    if e.shape != r.shape:
-        raise ValueError(f"length mismatch: {e.shape} vs {r.shape}")
-    ref_energy = float(r @ r)
+def snr_db(est: np.ndarray, ref: np.ndarray) -> float:
+    """Plain signal-to-noise ratio in dB of two sample arrays, capped at
+    +100 dB."""
+    if est.shape != ref.shape:
+        raise ValueError(f"length mismatch: {est.shape} vs {ref.shape}")
+    ref_energy = float(ref @ ref)
     if ref_energy == 0.0:
         raise ValueError("reference is all zeros; SNR undefined")
-    noise = e - r
+    noise = est - ref
     noise_energy = float(noise @ noise)
     if noise_energy <= _RESIDUAL_REL_FLOOR * ref_energy:
         return CAP_DB
@@ -124,10 +121,10 @@ def evaluate_set(
     si_noisy, si_enh, sn_noisy, sn_enh, stage_rows = [], [], [], [], []
     for noisy, clean in pairs:
         enhanced, trace = model.enhance(noisy)
-        si_noisy.append(si_sdr(noisy, clean))
-        si_enh.append(si_sdr(enhanced, clean))
-        sn_noisy.append(snr_db(noisy, clean))
-        sn_enh.append(snr_db(enhanced, clean))
+        si_noisy.append(si_sdr(noisy.samples, clean.samples))
+        si_enh.append(si_sdr(enhanced.samples, clean.samples))
+        sn_noisy.append(snr_db(noisy.samples, clean.samples))
+        sn_enh.append(snr_db(enhanced.samples, clean.samples))
         stage_l1, _ = total_loss_batch(trace, [model.analyze(clean)[0]])
         stage_rows.append(tuple(stage_l1))
     return MetricReport(

@@ -82,10 +82,9 @@ class BatchTrace:
 
     Every array is packed: item i holds columns ``bounds[i]:bounds[i + 1]``.
     ``masks[k]`` is stage k+1's mask; ``estimates[k]`` the cascade after
-    stage k, with ``estimates[0]`` the inputs themselves.
+    stage k, with ``estimates[0]`` the packed input itself.
     """
 
-    inputs: Array
     bounds: tuple[int, ...]
     masks: list[Array]
     estimates: list[Array]
@@ -161,7 +160,7 @@ class MultiStageModel:
                 stage_caches.append(sc)
             masks.append(mask)
             estimates.append(mask * estimates[k - 1])
-        return BatchTrace(x, bounds, masks, estimates, stage_caches, fusion_caches)
+        return BatchTrace(bounds, masks, estimates, stage_caches, fusion_caches)
 
     # -- backward -----------------------------------------------------------
 
@@ -172,7 +171,7 @@ class MultiStageModel:
             raise ValueError("backward needs a trace from a train-mode forward")
         cleans = _check_targets(trace, cleans)
         k_stages = self.config.stages
-        x = trace.inputs
+        x = trace.estimates[0]
         est = trace.estimates
         masks = trace.masks
         # each column is averaged over its own item's F x T_i entries
@@ -255,7 +254,7 @@ def _check_targets(trace: BatchTrace, cleans: list[Array]) -> list[Array]:
     if len(cleans) != trace.n_items:
         raise ValueError(f"{len(cleans)} targets for {trace.n_items} items")
     cleans = [np.asarray(clean, dtype=np.float64) for clean in cleans]
-    f_bins = trace.inputs.shape[0]
+    f_bins = trace.estimates[0].shape[0]
     for i, (clean, t_item) in enumerate(zip(cleans, np.diff(trace.bounds))):
         if clean.shape != (f_bins, t_item):
             raise ValueError(
@@ -273,7 +272,7 @@ def total_loss_batch(
     ``mask[k] * est[k-1]``) against ``cleans[i]``.
     """
     cleans = _check_targets(trace, cleans)
-    items = nn.segments(trace.bounds, trace.inputs.shape[1])
+    items = nn.segments(trace.bounds, trace.estimates[0].shape[1])
     per_item_stage = [
         [nn.mean_abs_loss(est[:, lo:hi], clean) for est in trace.estimates[1:]]
         for (lo, hi), clean in zip(items, cleans)

@@ -6,7 +6,8 @@ parameter gradients; there is no graph or tape.  Ops that must not mix packed
 items take the item ``bounds`` as a required argument; one item is (0, T).
 The norm ops also return the normalized input and inverse standard deviation
 they computed; their backward passes take those instead of the input and hold
-only for train forwards (``batch_norm(..., train=True)``).
+only for train forwards (``batch_norm(..., train=True)``).  The tests check
+every backward pass against central differences of its forward.
 Parameter values are kept exactly representable in float32 (arithmetic still
 runs in float64) so the 32-bit checkpoint format round-trips bit-exactly.
 """
@@ -112,12 +113,6 @@ class ParamStore:
 
     def buffers(self):
         return self._buffers.items()
-
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
-    def zero_grads(self):
-        self.flat()[1][...] = 0.0
 
     def count(self, prefix: str = "") -> int:
         return sum(
@@ -346,34 +341,10 @@ def mean_abs_loss(a: Array, bt: Array) -> float:
     return float(np.abs(a - bt).mean())
 
 
-def mean_abs_loss_backward(a: Array, bt: Array, count=None) -> Array:
+def mean_abs_loss_backward(a: Array, bt: Array, count) -> Array:
     """Gradient w.r.t. the first argument: sign(a - bt) / count.
 
-    ``count`` is the number of entries averaged over, ``a.size`` by default;
-    an array broadcast against ``a`` gives each packed item its own.
+    ``count`` is the number of entries averaged over; an array broadcast
+    against ``a`` gives each packed item its own.
     """
-    return np.sign(a - bt) / (a.size if count is None else count)
-
-
-def finite_diff_check(fn, point: Array, h: float = 1e-4) -> float:
-    """Max relative disagreement between fn's gradient and central differences.
-
-    ``fn(x)`` must return ``(scalar value, gradient array)`` and be a pure,
-    deterministic function of x; compose tensor-valued ops with a fixed
-    linear functional before checking.
-    """
-    _, grad = fn(point)
-    if grad.shape != point.shape:
-        raise ValueError(f"gradient shape {grad.shape} != point shape {point.shape}")
-    numeric = np.zeros_like(point)
-    flat = numeric.reshape(-1)
-    for i in range(point.size):
-        xp = point.copy().reshape(-1)
-        xp[i] += h
-        up, _ = fn(xp.reshape(point.shape))
-        xm = point.copy().reshape(-1)
-        xm[i] -= h
-        down, _ = fn(xm.reshape(point.shape))
-        flat[i] = (up - down) / (2.0 * h)
-    denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
-    return float((np.abs(grad - numeric) / denom).max())
+    return np.sign(a - bt) / count

@@ -171,13 +171,13 @@ def fit(
     model: MultiStageModel,
     dataset: list[tuple[dsp.Waveform, dsp.Waveform]],
     cfg: TrainConfig,
-    checkpoint_path: str | None = None,
+    checkpoint_path: str,
 ) -> list[StepRecord]:
     """Seeded-shuffle epoch loop over (noisy, clean) pairs.
 
-    When ``checkpoint_path`` is given, the model with the best epoch-mean
-    total loss seen so far is kept there; on divergence the last good file is
-    preserved and TrainingDivergedError is raised.
+    The model with the best epoch-mean total loss seen so far is kept at
+    ``checkpoint_path``; on divergence the last good file is preserved and
+    TrainingDivergedError is raised.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -202,7 +202,7 @@ def fit(
             records.append(StepRecord(epoch, step, tuple(stage_means), total_mean))
             epoch_totals.append(total_mean)
         epoch_mean = float(np.mean(epoch_totals))
-        if checkpoint_path is not None and epoch_mean < best_total:
+        if epoch_mean < best_total:
             best_total = epoch_mean
             save_checkpoint(model, checkpoint_path, state)
     return records

@@ -5,7 +5,9 @@ Everything here is written with explicit Python loops over indices and
 under test.  These read parameter values from built layers but share no
 computation with them.  The two ``*_backward`` references are vectorized:
 they are the norm backward passes as written before the forward saved its
-statistics, recomputing mean, variance and x-hat from the input.
+statistics, recomputing mean, variance and x-hat from the input.  The
+finite-difference checker and the store helpers at the end are the test
+equipment every backward pass is checked with.
 """
 
 import math
@@ -273,3 +275,32 @@ def margined_clean(model, x, rng, margin=0.05):
     below = ests.min(axis=0) - rng.uniform(margin, 3 * margin, size=x.shape)
     pick_above = rng.random(x.shape) < 0.5
     return np.where(pick_above, above, below)
+
+
+def finite_diff_check(fn, point, h=1e-4):
+    """Max relative disagreement between fn's gradient and central differences.
+
+    ``fn(x)`` must return ``(scalar value, gradient array)`` and be a pure,
+    deterministic function of x; compose tensor-valued ops with a fixed
+    linear functional before checking.
+    """
+    _, grad = fn(point)
+    if grad.shape != point.shape:
+        raise ValueError(f"gradient shape {grad.shape} != point shape {point.shape}")
+    numeric = np.zeros_like(point)
+    flat = numeric.reshape(-1)
+    for i in range(point.size):
+        xp = point.copy().reshape(-1)
+        xp[i] += h
+        up, _ = fn(xp.reshape(point.shape))
+        xm = point.copy().reshape(-1)
+        xm[i] -= h
+        down, _ = fn(xm.reshape(point.shape))
+        flat[i] = (up - down) / (2.0 * h)
+    denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
+    return float((np.abs(grad - numeric) / denom).max())
+
+
+def zero_grads(store):
+    """Clear every parameter gradient of ``store`` (packing it if needed)."""
+    store.flat()[1][...] = 0.0

@@ -16,7 +16,9 @@ from stagemask.audio import mix_at_snr
 from stagemask.blocks import SABlock, TCNBlock, receptive_field
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
-from reference import margined_clean, randomize_params
+from reference import (
+    finite_diff_check, margined_clean, randomize_params, zero_grads,
+)
 
 TOY_CONFIG_TEXT = (
     "stages = 3\nhidden = 32\nbottleneck = 16\nstacks = 2\nblocks = 4\n"
@@ -148,7 +150,7 @@ def test_criterion_4_gradient_correctness():
     worst = {}
 
     def check(name, fn, point, tol):
-        err = nn.finite_diff_check(fn, point)
+        err = finite_diff_check(fn, point)
         worst[name] = err
         assert err < tol, f"{name}: {err}"
 
@@ -219,7 +221,8 @@ def test_criterion_4_gradient_correctness():
     bt = rng.standard_normal((4, 5))
     a0 = bt + np.sign(rng.standard_normal((4, 5))) * rng.uniform(0.5, 1.0, (4, 5))
     check("mean_abs_loss",
-          lambda a: (nn.mean_abs_loss(a, bt), nn.mean_abs_loss_backward(a, bt)),
+          lambda a: (nn.mean_abs_loss(a, bt),
+                     nn.mean_abs_loss_backward(a, bt, a.size)),
           a0, 1e-4)
 
     # end-to-end toy model gradient, 20 sampled parameters; the clean target
@@ -230,7 +233,7 @@ def test_criterion_4_gradient_correctness():
     randomize_params(model.store, rng)
     x = np.abs(rng.standard_normal((9, 6)))
     clean = margined_clean(model, x, rng)
-    model.store.zero_grads()
+    zero_grads(model.store)
     trace = model.forward_batch([x], "train")
     model.backward_batch(trace, [clean])
     grads = {name: p.grad.copy() for name, p in model.store.params()}
@@ -239,7 +242,7 @@ def test_criterion_4_gradient_correctness():
     h = 2e-5
     e2e_worst = 0.0
     for idx in rng.choice(len(names), size=20, replace=False):
-        p = model.store[names[idx]]
+        p = dict(model.store.params())[names[idx]]
         flat = int(rng.integers(p.value.size))
         orig = p.value.copy()
         p.value = orig.copy()

@@ -26,8 +26,7 @@ class TestWavIO:
         ints = rng.integers(-32768, 32768, size=999, dtype=np.int16)
         wf = dsp.Waveform(ints.astype(np.float64) / 32768.0, 16000)
         path = tmp_path / "x.wav"
-        clipped = write_wav(path, wf)
-        assert clipped == 0
+        write_wav(path, wf)
         back = read_wav(path)
         assert back.sample_rate == 16000
         np.testing.assert_array_equal(back.samples, wf.samples)
@@ -41,9 +40,11 @@ class TestWavIO:
         assert np.abs(back.samples - wf.samples).max() <= 1.0 / 32768.0
 
     def test_clipping_counted(self, tmp_path):
-        wf = dsp.Waveform(np.array([0.0, 1.5, -2.0, 0.5]), 8000)
-        clipped = write_wav(tmp_path / "c.wav", wf)
-        assert clipped == 2
+        wf = dsp.Waveform(np.array([0.0, 1.5, -2.0, 0.5, 1.0, -1.0]), 8000)
+        write_wav(tmp_path / "c.wav", wf)
+        back = read_wav(tmp_path / "c.wav").samples
+        top = 32767 / 32768
+        np.testing.assert_array_equal(back, [0.0, top, -1.0, 0.5, top, -1.0])
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -126,11 +127,15 @@ class TestMixAtSnr:
         assert abs(_measured_snr(noisy, clean) - 5.0) < 1e-6
 
     def test_tiling_offset_seeded(self):
+        # no random offset: short noise tiles from its first sample, every time
         clean, _ = self._signals()
         short = dsp.Waveform(np.random.default_rng(5).standard_normal(700) * 0.1, 8000)
-        a = mix_at_snr(clean, short, 5.0, rng=np.random.default_rng(6))
-        b = mix_at_snr(clean, short, 5.0, rng=np.random.default_rng(6))
+        a = mix_at_snr(clean, short, 5.0)
+        b = mix_at_snr(clean, short, 5.0)
         assert np.array_equal(a.samples, b.samples)
+        tiled = np.tile(short.samples, 6)[: len(clean)]
+        gain = np.sqrt(np.mean(clean.samples ** 2) / (np.mean(tiled ** 2) * 10 ** 0.5))
+        assert np.array_equal(a.samples, clean.samples + gain * tiled)
 
     def test_scale_equivariance(self):
         clean, noise = self._signals()

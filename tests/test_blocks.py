@@ -5,12 +5,14 @@ from stagemask import nn
 from stagemask.blocks import FusionBlock, SABlock, Stage, TCNBlock, receptive_field
 
 from reference import (
+    finite_diff_check,
     randomize_params,
     ref_fusion,
     ref_sa_block,
     ref_softmax_columns,
     ref_stage,
     ref_tcn_block,
+    zero_grads,
 )
 
 
@@ -125,11 +127,11 @@ class TestSABlock:
         def fn(x):
             cache = {}
             y = block.forward(x, _one(x), cache)
-            store.zero_grads()
+            zero_grads(store)
             dx = block.backward(c, cache)
             return float((c * y).sum()), dx
 
-        assert nn.finite_diff_check(fn, rng.standard_normal((3, 4))) < 1e-4
+        assert finite_diff_check(fn, rng.standard_normal((3, 4))) < 1e-4
 
     def test_grad_delta(self):
         block, store = _sa(3, seed=12)
@@ -142,11 +144,11 @@ class TestSABlock:
             block.delta.value = delta
             cache = {}
             y = block.forward(x, _one(x), cache)
-            store.zero_grads()
+            zero_grads(store)
             block.backward(c, cache)
             return float((c * y).sum()), block.delta.grad.copy()
 
-        assert nn.finite_diff_check(fn, np.array([0.4])) < 1e-5
+        assert finite_diff_check(fn, np.array([0.4])) < 1e-5
 
     def test_packed_items_attend_separately(self):
         block, store = _sa(4, seed=40)
@@ -168,11 +170,11 @@ class TestSABlock:
         def fn(x):
             cache = {}
             y = block.forward(x, BOUNDS, cache)
-            store.zero_grads()
+            zero_grads(store)
             dx = block.backward(c, cache)
             return float((c * y).sum()), dx
 
-        assert nn.finite_diff_check(fn, rng.standard_normal((3, 12))) < 1e-4
+        assert finite_diff_check(fn, rng.standard_normal((3, 12))) < 1e-4
 
 
 class TestTCNBlock:
@@ -208,11 +210,11 @@ class TestTCNBlock:
         def fn(x):
             cache = {}
             y = block.forward(x, _one(x), cache)
-            store.zero_grads()
+            zero_grads(store)
             dx = block.backward(c, cache)
             return float((c * y).sum()), dx
 
-        assert nn.finite_diff_check(fn, rng.standard_normal((4, 8))) < 1e-3
+        assert finite_diff_check(fn, rng.standard_normal((4, 8))) < 1e-3
 
 
 class TestStage:
@@ -295,8 +297,8 @@ class TestFusionBlock:
         def fn_a(a):
             cache = {}
             y = fusion.forward(a, b, _one(a), cache)
-            store.zero_grads()
+            zero_grads(store)
             da, _ = fusion.backward(c, cache)
             return float((c * y).sum()), da
 
-        assert nn.finite_diff_check(fn_a, rng.standard_normal((4, 5))) < 1e-4
+        assert finite_diff_check(fn_a, rng.standard_normal((4, 5))) < 1e-4

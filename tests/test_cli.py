@@ -4,9 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from stagemask import dsp
-from stagemask.audio import read_wav, write_wav
+from stagemask import cli, dsp
+from stagemask.audio import read_wav, write_manifest, write_wav
 from stagemask.config import default_run_config, parse_config_file
+from stagemask.model import MultiStageModel
+from stagemask.train import save_checkpoint
 
 
 def run_cli(*args, cwd=None):
@@ -140,6 +142,15 @@ class TestMix:
         assert result.returncode == 2
         assert not out.exists()
 
+    def test_empty_noise_exits_2(self, tmp_path, capsys):
+        clean_path, _ = self._write_inputs(tmp_path)
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, dsp.Waveform(np.zeros(0), 8000))
+        rc = cli.run(["mix", "--clean", str(clean_path), "--noise", str(empty),
+                      "--snr", "0", "--out", str(tmp_path / "noisy.wav")])
+        assert rc == 2
+        assert "noise signal is empty" in capsys.readouterr().err
+
 
 class TestSpecDump:
     def test_zero_wav_dumps_zero_matrix(self, tmp_path):
@@ -241,7 +252,77 @@ class TestTrainEnhanceEval:
         assert result.returncode == 2
 
 
+class TestManifestChecks:
+    """``train`` and ``eval`` share one manifest check: a bad item exits 2
+    naming the manifest item and both of its files."""
+
+    ITEMS = {  # per item: (noisy rate, noisy length, clean rate, clean length)
+        "rate-mismatch": [(8000, 4000, 16000, 4000)],
+        "two-rates": [(8000, 4000, 8000, 4000), (16000, 4000, 16000, 4000)],
+        "length-mismatch": [(8000, 3000, 8000, 4000)],
+        "shorter-than-frame": [(8000, 50, 8000, 50)],
+    }
+
+    def _manifest(self, tmp_path, items, silent_clean=False):
+        rng = np.random.default_rng(0)
+        rows = []
+        for i, (n_rate, n_len, c_rate, c_len) in enumerate(items):
+            clean = rng.standard_normal(c_len) * (0.0 if silent_clean else 0.1)
+            write_wav(tmp_path / f"clean{i}.wav", dsp.Waveform(clean, c_rate))
+            write_wav(tmp_path / f"noisy{i}.wav",
+                      dsp.Waveform(rng.standard_normal(n_len) * 0.1, n_rate))
+            rows.append((f"clean{i}.wav", f"noisy{i}.wav", 0.0))
+        path = tmp_path / "manifest.tsv"
+        write_manifest(path, rows)
+        return path
+
+    def _run(self, command, manifest, tmp_path, toy_config):
+        if command == "train":
+            argv = ["train", "--config", str(toy_config), "--data", str(manifest),
+                    "--out", str(tmp_path / "model.ckpt")]
+        else:
+            ckpt = tmp_path / "given.ckpt"
+            model_cfg = parse_config_file(str(toy_config)).model
+            save_checkpoint(MultiStageModel(model_cfg), ckpt)
+            argv = ["eval", "--ckpt", str(ckpt), "--manifest", str(manifest)]
+        return cli.run(argv)
+
+    @pytest.mark.parametrize("case", sorted(ITEMS))
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_item_exits_2_naming_both_files(
+        self, command, case, tmp_path, toy_config, capsys
+    ):
+        items = self.ITEMS[case]
+        manifest = self._manifest(tmp_path, items)
+        assert self._run(command, manifest, tmp_path, toy_config) == 2
+        err = capsys.readouterr().err
+        bad = len(items) - 1
+        assert f"{manifest}: item {bad + 1}: " in err
+        assert str(tmp_path / f"noisy{bad}.wav") in err
+        assert str(tmp_path / f"clean{bad}.wav") in err
+
+    def test_eval_silent_reference_exits_2(self, tmp_path, toy_config, capsys):
+        manifest = self._manifest(tmp_path, [(8000, 4000, 8000, 4000)], True)
+        assert self._run("eval", manifest, tmp_path, toy_config) == 2
+        err = capsys.readouterr().err
+        assert "silent" in err and str(tmp_path / "clean0.wav") in err
+
+    def test_train_accepts_silent_targets(self, tmp_path, toy_config):
+        manifest = self._manifest(tmp_path, [(8000, 4000, 8000, 4000)], True)
+        assert self._run("train", manifest, tmp_path, toy_config) == 0
+
+
 class TestUsage:
+    def test_out_of_memory_exits_3(self, tmp_path, toy_config, monkeypatch, capsys):
+        # the real allocation is never attempted: under overcommit it can succeed
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+        monkeypatch.setattr(cli, "MultiStageModel", no_memory)
+        assert cli.run(["info", "--config", str(toy_config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Unable to allocate" in err
+
     def test_no_command_exits_2(self):
         assert run_cli().returncode == 2
 

@@ -15,31 +15,28 @@ def _rand_samples(rng, n):
 
 class TestHannWindow:
     def test_endpoint_zero(self):
-        win = dsp.hann_window(512)
+        win = dsp.hann_window(512, 256)
         assert win.coefficients[0] == 0.0
         assert win.coefficients[-1] == 0.0
 
     def test_symmetry_exact(self):
-        w = dsp.hann_window(512).coefficients
+        w = dsp.hann_window(512, 256).coefficients
         assert np.array_equal(w, w[::-1])
 
     def test_small_window_value(self):
         # sin^2(pi/3) = 3/4 at t=1 for a 4-point window
-        w = dsp.hann_window(4).coefficients
+        w = dsp.hann_window(4, 2).coefficients
         assert w[1] == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_formula(self):
         n = 33
-        w = dsp.hann_window(n).coefficients
+        w = dsp.hann_window(n, n // 2).coefficients
         expected = [math.sin(math.pi * t / (n - 1)) ** 2 for t in range(n)]
         np.testing.assert_allclose(w, expected, atol=1e-14)
 
-    def test_default_hop_is_half(self):
-        assert dsp.hann_window(512).hop == 256
-
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            dsp.hann_window(1)
+            dsp.hann_window(1, 1)
 
 
 class TestStft:

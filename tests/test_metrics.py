@@ -60,10 +60,6 @@ class TestSiSdr:
         with pytest.raises(ValueError):
             si_sdr(np.ones(16), np.ones(17))
 
-    def test_accepts_waveforms(self):
-        r = dsp.Waveform(_ref(5, 512), 8000)
-        assert si_sdr(r, r) == 100.0
-
 
 class TestSnrDb:
     def test_identical_hits_cap(self):

@@ -5,7 +5,7 @@ from stagemask import dsp
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
 from reference import (
-    constant_masks, margined_clean, randomize_params, ref_cascade_loss,
+    constant_masks, margined_clean, randomize_params, ref_cascade_loss, zero_grads,
 )
 
 TOY = ModelConfig(
@@ -177,7 +177,7 @@ class TestGradients:
             return total_loss_batch(trace, [clean])[1][0]
 
         def analytic_grads():
-            model.store.zero_grads()
+            zero_grads(model.store)
             trace = model.forward_batch([x], "train")
             model.backward_batch(trace, [clean])
             return {name: p.grad.copy() for name, p in model.store.params()}
@@ -190,7 +190,7 @@ class TestGradients:
         h = 2e-5
         worst = 0.0
         for idx in picks:
-            p = model.store[names[idx]]
+            p = dict(model.store.params())[names[idx]]
             flat_idx = int(rng.integers(p.value.size))
             orig = p.value.copy()
             p.value = orig.copy()
@@ -227,7 +227,7 @@ class TestGradients:
             trace = model.forward_batch(xs, "train")
             return float(np.mean(total_loss_batch(trace, cleans)[1]))
 
-        model.store.zero_grads()
+        zero_grads(model.store)
         trace = model.forward_batch(xs, "train")
         model.backward_batch(trace, cleans)
         grads = {name: p.grad.copy() for name, p in model.store.params()}
@@ -236,7 +236,7 @@ class TestGradients:
         h = 2e-5
         worst = 0.0
         for idx in rng.choice(len(names), size=12, replace=False):
-            p = model.store[names[idx]]
+            p = dict(model.store.params())[names[idx]]
             flat = int(rng.integers(p.value.size))
             orig = p.value.copy()
             p.value = orig.copy()
@@ -267,7 +267,7 @@ class TestGradients:
             trace = model.forward_batch(xs, "train")
             return float(np.mean(total_loss_batch(trace, cleans)[1]))
 
-        model.store.zero_grads()
+        zero_grads(model.store)
         trace = model.forward_batch(xs, "train")
         gx = model.backward_batch(trace, cleans)
         grads = {name: p.grad.copy() for name, p in model.store.params()}
@@ -275,7 +275,7 @@ class TestGradients:
         h = 2e-5
         worst = 0.0
         for idx in rng.choice(len(names), size=20, replace=False):
-            p = model.store[names[idx]]
+            p = dict(model.store.params())[names[idx]]
             flat = int(rng.integers(p.value.size))
             orig = p.value.copy()
             p.value.reshape(-1)[flat] += h

@@ -24,6 +24,8 @@ from stagemask.train import (
     save_checkpoint,
 )
 
+from reference import zero_grads
+
 TOY = ModelConfig(
     stages=2, hidden=6, bottleneck=4, stacks=1, blocks_per_stack=2,
     fft_size=64, hop=32, seed=3,
@@ -262,25 +264,28 @@ class TestPadBatch:
 
 
 class TestFit:
-    def test_zero_lr_keeps_losses_constant(self):
+    def test_zero_lr_keeps_losses_constant(self, tmp_path):
         # whole dataset as one batch: shuffling then only reorders the
         # concatenation feeding the norm statistics
         model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=4, seed=8)
-        records = fit(model, pairs, TrainConfig(lr=0.0, batch=4, epochs=3, seed=1))
+        records = fit(model, pairs, TrainConfig(lr=0.0, batch=4, epochs=3, seed=1),
+                      str(tmp_path / "best.ckpt"))
         totals = [r.total for r in records]
         np.testing.assert_allclose(totals, totals[0], rtol=1e-12)
 
-    def test_log_has_expected_step_count(self):
+    def test_log_has_expected_step_count(self, tmp_path):
         model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=5, seed=9)
-        records = fit(model, pairs, TrainConfig(batch=2, epochs=3, seed=1))
+        records = fit(model, pairs, TrainConfig(batch=2, epochs=3, seed=1),
+                      str(tmp_path / "best.ckpt"))
         assert len(records) == 3 * 3  # ceil(5/2) = 3 batches per epoch
 
-    def test_loss_decreases_on_toy_data(self):
+    def test_loss_decreases_on_toy_data(self, tmp_path):
         model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=4, seed=10)
-        records = fit(model, pairs, TrainConfig(batch=4, epochs=40, seed=2))
+        records = fit(model, pairs, TrainConfig(batch=4, epochs=40, seed=2),
+                      str(tmp_path / "best.ckpt"))
         assert records[-1].total < records[0].total
 
     def test_single_small_step_decreases_frozen_batch_loss(self):
@@ -295,16 +300,16 @@ class TestFit:
             batch = pad_batch(pairs)
             _, before = batch_losses_and_grads(model, batch, win)
             adam_step(model.store, AdamState(model.store), TrainConfig(lr=1e-5))
-            model.store.zero_grads()
+            zero_grads(model.store)
             _, after = batch_losses_and_grads(model, batch, win)
-            model.store.zero_grads()
+            zero_grads(model.store)
             if after >= before:
                 failures += 1
         assert failures <= 1
 
-    def test_empty_dataset_rejected(self):
+    def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            fit(MultiStageModel(TOY), [], TrainConfig())
+            fit(MultiStageModel(TOY), [], TrainConfig(), str(tmp_path / "best.ckpt"))
 
     def test_divergence_stops_and_keeps_last_checkpoint(self, tmp_path, monkeypatch):
         import stagemask.train as train_mod
@@ -357,7 +362,8 @@ class TestCheckpoint:
     def test_enhance_identical_after_reload(self, tmp_path):
         model = MultiStageModel(TOY)
         pairs = _toy_pairs(n=2, seed=13)
-        fit(model, pairs, TrainConfig(batch=2, epochs=2, seed=4))
+        fit(model, pairs, TrainConfig(batch=2, epochs=2, seed=4),
+            str(tmp_path / "best.ckpt"))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
