@@ -2,7 +2,6 @@
 
 from .dsp import (
     AnalysisWindow,
-    CoverageError,
     Waveform,
     hann_window,
     istft,
@@ -33,7 +32,6 @@ from .metrics import MetricReport, evaluate_set, si_sdr, snr_db
 
 __all__ = [
     "AnalysisWindow",
-    "CoverageError",
     "Waveform",
     "hann_window",
     "istft",

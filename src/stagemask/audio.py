@@ -9,6 +9,7 @@ of the generator is fixed by the module constants below.
 
 from __future__ import annotations
 
+import io
 import wave
 from dataclasses import dataclass
 
@@ -165,20 +166,25 @@ def write_manifest(path: str, rows: list[tuple[str, str, float]]):
 
 
 def read_manifest(path: str) -> list[tuple[str, str, float]]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            try:
-                snr_db = float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad snr value {parts[2]!r}") from exc
-            rows.append((parts[0], parts[1], snr_db))
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+            )
+        try:
+            snr_db = float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad snr value {parts[2]!r}") from exc
+        rows.append((parts[0], parts[1], snr_db))
     return rows

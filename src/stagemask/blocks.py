@@ -8,11 +8,12 @@ over the packed array; batch normalization in train mode therefore takes its
 statistics over batch x time per channel.  The dilated depthwise convolution
 never reads across an item boundary, and attention and global layer
 normalization run per item, so no other layer couples the items.  A batch of
-one is the plain (C, T) array with bounds (0, T).  A forward given a cache (a
-dict) is a training forward, and nothing else signals it: it fills the cache
-for the matching backward, which consumes it exactly once, and batch
-normalization takes batch statistics.  Forwards without a cache use running
-statistics and are safe to run concurrently on frozen parameters.
+one is the plain (C, T) array with bounds (0, T).  Every block's
+``forward(x, bounds, *, train)`` returns ``(y, cache)`` and its
+``backward(dy, cache, bounds)`` takes that cache back; ``bounds`` is never
+cached.  A train forward uses batch statistics; an eval forward uses running
+statistics, returns a None cache and is safe to run concurrently on frozen
+parameters.
 """
 
 from __future__ import annotations
@@ -76,9 +77,8 @@ class BatchNormLayer:
     """Batch normalization over batch x time per channel.
 
     Train statistics cover every column of the packed batch, so a batch of
-    one falls back to plain per-utterance time statistics.  ``forward``
-    returns ``(y, saved)``; ``backward`` takes the saved statistics of a
-    ``train=True`` forward back.
+    one falls back to plain per-utterance time statistics.  ``backward``
+    takes the statistics saved by a ``train=True`` forward.
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int):
@@ -89,7 +89,7 @@ class BatchNormLayer:
             store.register_buffer(f"{name}.running_var", np.ones(channels)),
         )
 
-    def forward(self, x: Array, train: bool):
+    def forward(self, x: Array, *, train: bool):
         y, *saved = nn.batch_norm(
             x, self.gamma.value, self.beta.value, self.state, train=train
         )
@@ -103,10 +103,7 @@ class BatchNormLayer:
 
 
 class GlobalNormLayer:
-    """Global layer normalization, per item, with per-row affine parameters.
-
-    ``forward`` returns ``(y, saved)``; ``backward`` takes ``saved`` back.
-    """
+    """Global layer normalization, per item, with per-row affine parameters."""
 
     def __init__(self, store: ParamStore, name: str, rows: int):
         self.gamma = store.register(f"{name}.gamma", np.ones((rows, 1)))
@@ -142,7 +139,7 @@ class SABlock:
         self.wv = Conv1x1(store, f"{name}.wv", f, f, rng)
         self.delta = store.register(f"{name}.delta", np.zeros(1))
 
-    def forward(self, x: Array, bounds, cache: dict | None = None) -> Array:
+    def forward(self, x: Array, bounds, *, train: bool):
         q = self.wq.forward(x)
         k = self.wk.forward(x)
         v = self.wv.forward(x)
@@ -156,16 +153,15 @@ class SABlock:
         a = np.empty_like(x)
         for i, (lo, hi) in enumerate(items):
             a[:, lo:hi] = nn.matmul(what[:, i * f : (i + 1) * f], v[:, lo:hi])
-        if cache is not None:
-            cache.update(x=x, bounds=bounds, q=q, k=k, v=v, what=what, a=a)
-        return x + self.delta.value[0] * a
+        y = x + self.delta.value[0] * a
+        return y, ((x, q, k, v, what, a) if train else None)
 
-    def backward(self, dy: Array, cache: dict) -> Array:
-        x, q, k, v, what = cache["x"], cache["q"], cache["k"], cache["v"], cache["what"]
+    def backward(self, dy: Array, cache, bounds) -> Array:
+        x, q, k, v, what, a = cache
         f = x.shape[0]
         scale = 1.0 / math.sqrt(f)
-        items = nn.segments(cache["bounds"], x.shape[1])
-        self.delta.grad += (dy * cache["a"]).sum()
+        items = nn.segments(bounds, x.shape[1])
+        self.delta.grad += (dy * a).sum()
         da = self.delta.value[0] * dy
         dwhat = np.empty_like(what)
         dq, dk, dv = np.empty_like(x), np.empty_like(x), np.empty_like(x)
@@ -203,33 +199,31 @@ class TCNBlock:
         self.bn2 = BatchNormLayer(store, f"{name}.bn2", width_hidden)
         self.out_conv = Conv1x1(store, f"{name}.out_conv", width_hidden, width_in, rng)
 
-    def forward(self, x: Array, bounds, cache: dict | None = None):
-        train = cache is not None
+    def forward(self, x: Array, bounds, *, train: bool):
         h0 = self.in_conv.forward(x)
         h1 = self.prelu1.forward(h0)
-        h2, bn1 = self.bn1.forward(h1, train)
+        h2, bn1 = self.bn1.forward(h1, train=train)
         h3 = nn.depthwise_dconv(
             h2, self.dkernel.value, self.dbias.value, self.dilation, bounds
         )
         h4 = self.prelu2.forward(h3)
-        h5, bn2 = self.bn2.forward(h4, train)
-        if train:
-            cache.update(x=x, bounds=bounds, h0=h0, bn1=bn1, h2=h2, h3=h3,
-                         bn2=bn2, h5=h5)
-        return x + self.out_conv.forward(h5)
+        h5, bn2 = self.bn2.forward(h4, train=train)
+        y = x + self.out_conv.forward(h5)
+        return y, ((x, h0, bn1, h2, h3, bn2, h5) if train else None)
 
-    def backward(self, dy: Array, cache: dict) -> Array:
-        dh5 = self.out_conv.backward(dy, cache["h5"])
-        dh4 = self.bn2.backward(dh5, cache["bn2"])
-        dh3 = self.prelu2.backward(dh4, cache["h3"])
+    def backward(self, dy: Array, cache, bounds) -> Array:
+        x, h0, bn1, h2, h3, bn2, h5 = cache
+        dh5 = self.out_conv.backward(dy, h5)
+        dh4 = self.bn2.backward(dh5, bn2)
+        dh3 = self.prelu2.backward(dh4, h3)
         dh2, dk, db = nn.depthwise_dconv_backward(
-            dh3, cache["h2"], self.dkernel.value, self.dilation, cache["bounds"]
+            dh3, h2, self.dkernel.value, self.dilation, bounds
         )
         self.dkernel.grad += dk
         self.dbias.grad += db
-        dh1 = self.bn1.backward(dh2, cache["bn1"])
-        dh0 = self.prelu1.backward(dh1, cache["h0"])
-        return dy + self.in_conv.backward(dh0, cache["x"])
+        dh1 = self.bn1.backward(dh2, bn1)
+        dh0 = self.prelu1.backward(dh1, h0)
+        return dy + self.in_conv.backward(dh0, x)
 
 
 class Stage:
@@ -252,28 +246,24 @@ class Stage:
         ]
         self.out_proj = Conv1x1(store, f"{name}.out_proj", bottleneck, f, rng)
 
-    def forward(self, x: Array, bounds, cache: dict | None = None):
-        sa_cache = {} if cache is not None else None
-        a = self.sa.forward(x, bounds, sa_cache)
+    def forward(self, x: Array, bounds, *, train: bool):
+        a, sa = self.sa.forward(x, bounds, train=train)
         h = self.bottleneck.forward(a)
-        block_caches = [] if cache is not None else None
+        blocks = []
         for block in self.blocks:
-            bc = {} if cache is not None else None
-            h = block.forward(h, bounds, bc)
-            if cache is not None:
-                block_caches.append(bc)
+            h, bc = block.forward(h, bounds, train=train)
+            blocks.append(bc)
         mask = nn.sigmoid(self.out_proj.forward(h))
-        if cache is not None:
-            cache.update(sa=sa_cache, a=a, blocks=block_caches, h=h, mask=mask)
-        return mask
+        return mask, ((sa, a, blocks, h, mask) if train else None)
 
-    def backward(self, dmask: Array, cache: dict) -> Array:
-        dz = nn.sigmoid_backward(dmask, cache["mask"])
-        dh = self.out_proj.backward(dz, cache["h"])
-        for block, bc in zip(reversed(self.blocks), reversed(cache["blocks"])):
-            dh = block.backward(dh, bc)
-        da = self.bottleneck.backward(dh, cache["a"])
-        return self.sa.backward(da, cache["sa"])
+    def backward(self, dmask: Array, cache, bounds) -> Array:
+        sa, a, blocks, h, mask = cache
+        dz = nn.sigmoid_backward(dmask, mask)
+        dh = self.out_proj.backward(dz, h)
+        for block, bc in zip(reversed(self.blocks), reversed(blocks)):
+            dh = block.backward(dh, bc, bounds)
+        da = self.bottleneck.backward(dh, a)
+        return self.sa.backward(da, sa, bounds)
 
 
 class _FusionBranch:
@@ -282,17 +272,16 @@ class _FusionBranch:
         self.prelu = PReLULayer(store, f"{name}.prelu", f)
         self.gln = GlobalNormLayer(store, f"{name}.gln", f)
 
-    def forward(self, x: Array, bounds, cache: dict | None = None) -> Array:
+    def forward(self, x: Array, bounds, *, train: bool):
         c = self.conv.forward(x)
         y, gln = self.gln.forward(self.prelu.forward(c), bounds)
-        if cache is not None:
-            cache.update(x=x, c=c, gln=gln)
-        return y
+        return y, ((x, c, gln) if train else None)
 
-    def backward(self, dy: Array, bounds, cache: dict) -> Array:
-        dp = self.gln.backward(dy, cache["gln"], bounds)
-        dc = self.prelu.backward(dp, cache["c"])
-        return self.conv.backward(dc, cache["x"])
+    def backward(self, dy: Array, cache, bounds) -> Array:
+        x, c, gln = cache
+        dp = self.gln.backward(dy, gln, bounds)
+        dc = self.prelu.backward(dp, c)
+        return self.conv.backward(dc, x)
 
 
 class FusionBlock:
@@ -311,31 +300,26 @@ class FusionBlock:
         self.post_conv2 = Conv1x1(store, f"{name}.post.conv2", f, f, rng)
         self.post_prelu2 = PReLULayer(store, f"{name}.post.prelu2", f)
 
-    def forward(self, masked_orig: Array, prev_est: Array, bounds,
-                cache: dict | None = None) -> Array:
+    def forward(self, masked_orig: Array, prev_est: Array, bounds, *, train: bool):
         if masked_orig.shape != prev_est.shape:
             raise ValueError(
                 f"fusion inputs differ: {masked_orig.shape} vs {prev_est.shape}"
             )
-        ca = {} if cache is not None else None
-        cb = {} if cache is not None else None
-        s = self.branch_a.forward(masked_orig, bounds, ca) + self.branch_b.forward(
-            prev_est, bounds, cb
-        )
+        ya, ca = self.branch_a.forward(masked_orig, bounds, train=train)
+        yb, cb = self.branch_b.forward(prev_est, bounds, train=train)
+        s = ya + yb
         p1 = self.post_conv1.forward(s)
         p3, gln = self.post_gln.forward(self.post_prelu1.forward(p1), bounds)
         p4 = self.post_conv2.forward(p3)
-        if cache is not None:
-            cache.update(a=ca, b=cb, bounds=bounds, s=s, p1=p1, gln=gln, p3=p3, p4=p4)
-        return self.post_prelu2.forward(p4)
+        y = self.post_prelu2.forward(p4)
+        return y, ((ca, cb, s, p1, gln, p3, p4) if train else None)
 
-    def backward(self, dy: Array, cache: dict):
-        bounds = cache["bounds"]
-        dp4 = self.post_prelu2.backward(dy, cache["p4"])
-        dp3 = self.post_conv2.backward(dp4, cache["p3"])
-        dp2 = self.post_gln.backward(dp3, cache["gln"], bounds)
-        dp1 = self.post_prelu1.backward(dp2, cache["p1"])
-        ds = self.post_conv1.backward(dp1, cache["s"])
-        da = self.branch_a.backward(ds, bounds, cache["a"])
-        db = self.branch_b.backward(ds, bounds, cache["b"])
-        return da, db
+    def backward(self, dy: Array, cache, bounds):
+        ca, cb, s, p1, gln, p3, p4 = cache
+        dp4 = self.post_prelu2.backward(dy, p4)
+        dp3 = self.post_conv2.backward(dp4, p3)
+        dp2 = self.post_gln.backward(dp3, gln, bounds)
+        dp1 = self.post_prelu1.backward(dp2, p1)
+        ds = self.post_conv1.backward(dp1, s)
+        da = self.branch_a.backward(ds, ca, bounds)
+        return da, self.branch_b.backward(ds, cb, bounds)

@@ -8,6 +8,7 @@ standard recipe), which are the only copies of them.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 
@@ -55,24 +56,29 @@ class RunConfig:
 def parse_config_file(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _MODEL_KEYS and key not in _TRAIN_KEYS and key not in _PATH_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            if not value:
-                raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _MODEL_KEYS and key not in _TRAIN_KEYS and key not in _PATH_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
+        raw[key] = value
 
     def typed(key, caster):
         try:

@@ -22,10 +22,6 @@ import numpy as np
 _DENOM_FLOOR = 1e-8
 
 
-class CoverageError(ValueError):
-    """Requested output samples lie beyond the span covered by any frame."""
-
-
 @dataclass(frozen=True)
 class Waveform:
     """1-D sampled audio signal, nominal amplitude range [-1, 1]."""
@@ -128,7 +124,7 @@ def istft(
 
     Divides by the accumulated sum of squared window values (floored at 1e-8,
     so edge samples with vanishing coverage decay to zero instead of blowing
-    up).  Raises CoverageError when out_len extends past the last frame.
+    up).  Raises ValueError when out_len extends past the last frame.
     """
     if mag.shape != phase.shape:
         raise ValueError(f"magnitude shape {mag.shape} != phase shape {phase.shape}")
@@ -138,7 +134,7 @@ def istft(
     t_frames = mag.shape[1]
     span = (t_frames - 1) * win.hop + n
     if out_len > span:
-        raise CoverageError(
+        raise ValueError(
             f"requested {out_len} samples but frames only cover {span}"
         )
 

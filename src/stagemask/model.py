@@ -7,13 +7,14 @@ shrink: ``est[k] = mask[k] * est[k-1]`` with ``est[0]`` the input.
 
 ``forward_batch`` packs a list of (F, T_i) magnitude arrays into one
 (F, sum T_i) array with item bounds (see ``blocks``), and every tensor of the
-resulting trace is packed the same way.  Its ``mode`` is the only train
-switch; below it, a stage given a cache runs a training forward.  Batch
-normalization couples the items in train mode (statistics over batch x time);
-everything else treats them independently.  A single utterance is a batch of
-one: ``enhance`` masks the magnitude array that ``analyze`` produces through
-``forward_batch([mag])``, resynthesizes with the noisy phase and hands the
-trace back, so per-stage losses come from the same forward.
+resulting trace is packed the same way.  Its required keyword ``train`` goes
+unchanged to every block; a train trace carries the blocks' caches for
+``backward_batch``, an eval trace none.  Batch normalization couples the
+items in train mode (statistics over batch x time); everything else treats
+them independently.  A single utterance is a batch of one: ``enhance`` masks
+the magnitude array that ``analyze`` produces through
+``forward_batch([mag], train=False)``, resynthesizes with the noisy phase and
+hands the trace back, so per-stage losses come from the same forward.
 """
 
 from __future__ import annotations
@@ -77,19 +78,18 @@ class ModelConfig:
 
 @dataclass
 class BatchTrace:
-    """Everything one batched forward produced, plus caches when training
-    (a trace without stage caches came from an eval forward).
+    """Everything one batched forward produced.
 
     Every array is packed: item i holds columns ``bounds[i]:bounds[i + 1]``.
     ``masks[k]`` is stage k+1's mask; ``estimates[k]`` the cascade after
-    stage k, with ``estimates[0]`` the packed input itself.
+    stage k, with ``estimates[0]`` the packed input itself.  ``caches`` is
+    None after an eval forward, else one (stage, fusion) cache pair per stage.
     """
 
     bounds: tuple[int, ...]
     masks: list[Array]
     estimates: list[Array]
-    stage_caches: list | None = None
-    fusion_caches: list | None = None
+    caches: list[tuple] | None
 
     @property
     def n_items(self) -> int:
@@ -127,48 +127,37 @@ class MultiStageModel:
             raise ValueError("input magnitude must be non-negative")
         return x
 
-    def forward_batch(self, xs: list[Array], mode: str = "eval") -> BatchTrace:
-        """Run all stages once over the packed mini-batch."""
+    def forward_batch(self, xs: list[Array], *, train: bool) -> BatchTrace:
+        """Run all stages once over the packed mini-batch; ``train`` selects
+        batch statistics and keeps the caches ``backward_batch`` needs."""
         if not xs:
             raise ValueError("empty batch")
         xs = [self._check_input(x) for x in xs]
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-
         x = np.concatenate(xs, axis=1)
         bounds = (0, *itertools.accumulate(item.shape[1] for item in xs))
-        train = mode == "train"
         masks: list[Array] = []
         estimates: list[Array] = [x]
-        stage_caches = [] if train else None
-        fusion_caches = [] if train else None
+        caches = []
         for k, stage in enumerate(self.stages, start=1):
-            if k == 1:
-                xin = x
-            elif k == 2:
-                xin = estimates[1]
+            if k <= 2:  # stage 1 sees the input, stage 2 the first estimate
+                xin, fusion_cache = estimates[k - 1], None
             else:
-                fc = {} if train else None
-                xin = self.fusions[k - 3].forward(
-                    masks[k - 2] * x, estimates[k - 1], bounds, fc
+                xin, fusion_cache = self.fusions[k - 3].forward(
+                    masks[k - 2] * x, estimates[k - 1], bounds, train=train
                 )
-                if train:
-                    fusion_caches.append(fc)
-            sc = {} if train else None
-            mask = stage.forward(xin, bounds, sc)
-            if train:
-                stage_caches.append(sc)
+            mask, stage_cache = stage.forward(xin, bounds, train=train)
+            caches.append((stage_cache, fusion_cache))
             masks.append(mask)
             estimates.append(mask * estimates[k - 1])
-        return BatchTrace(bounds, masks, estimates, stage_caches, fusion_caches)
+        return BatchTrace(bounds, masks, estimates, caches if train else None)
 
     # -- backward -----------------------------------------------------------
 
     def backward_batch(self, trace: BatchTrace, cleans: list[Array]) -> Array:
         """Accumulate parameter gradients of the mean per-item total loss and
         return the packed gradient w.r.t. the inputs."""
-        if trace.stage_caches is None:
-            raise ValueError("backward needs a trace from a train-mode forward")
+        if trace.caches is None:
+            raise ValueError("backward needs a trace from a train forward")
         cleans = _check_targets(trace, cleans)
         k_stages = self.config.stages
         x = trace.estimates[0]
@@ -187,8 +176,9 @@ class MultiStageModel:
             # est[k] = masks[k-1] * est[k-1]
             g_masks[k - 1] += g_est[k] * est[k - 1]
             g_est[k - 1] += g_est[k] * masks[k - 1]
+            stage_cache, fusion_cache = trace.caches[k - 1]
             d_xin = self.stages[k - 1].backward(
-                g_masks[k - 1], trace.stage_caches[k - 1]
+                g_masks[k - 1], stage_cache, trace.bounds
             )
             if k == 1:
                 gx += d_xin
@@ -196,7 +186,7 @@ class MultiStageModel:
                 g_est[1] += d_xin
             else:
                 da, db = self.fusions[k - 3].backward(
-                    d_xin, trace.fusion_caches[k - 3]
+                    d_xin, fusion_cache, trace.bounds
                 )
                 g_masks[k - 2] += da * x
                 gx += da * masks[k - 2]
@@ -224,7 +214,7 @@ class MultiStageModel:
         """``analyze``, mask through all stages, resynthesize with the input's
         own phase; returns the input-length waveform and the forward's trace."""
         mag, phase = self.analyze(x)
-        trace = self.forward_batch([mag], "eval")
+        trace = self.forward_batch([mag], train=False)
         hop = self.config.hop
         out = dsp.istft(trace.estimates[-1], phase, self.window, hop + len(x))
         return dsp.Waveform(out[hop:], x.sample_rate), trace

@@ -49,6 +49,10 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
+        for name in ("lr", "eps", "clip_norm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
@@ -161,7 +165,7 @@ def batch_losses_and_grads(
     loss accumulate into the model.  Returns per-stage means and the mean
     total."""
     xs, cleans = batch_spectra(batch, win)
-    trace = model.forward_batch(xs, "train")
+    trace = model.forward_batch(xs, train=True)
     stage_means, item_totals = total_loss_batch(trace, cleans)
     model.backward_batch(trace, cleans)
     return stage_means, float(np.mean(item_totals))
@@ -305,7 +309,8 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
     """Rebuild a model (and optionally its optimizer state) from a file.
 
     The tensor list must cover every parameter and buffer exactly once with
-    matching shapes, and the file must contain nothing after the last tensor.
+    matching shapes and finite values, and the file must contain nothing
+    after the last tensor.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -352,7 +357,12 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
         if name in tensors:
             raise FormatError(f"duplicate tensor {name}", r.offset)
         # float32 views of the file; each is copied into its float64 home below
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(extents)
+        values = np.frombuffer(raw, dtype="<f4")
+        if not np.isfinite(values).all():
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            at = r.offset - 4 * (count - bad)
+            raise FormatError(f"non-finite value {values[bad]} in {name}", at)
+        tensors[name] = values.reshape(extents)
     end = len(data)
     if r.offset != end:
         raise FormatError(f"{end - r.offset} trailing bytes", r.offset)

@@ -261,7 +261,7 @@ def constant_masks(monkeypatch, model, value):
     for stage in model.stages:
         monkeypatch.setattr(
             stage, "forward",
-            lambda xin, bounds, cache=None: np.full_like(xin, value),
+            lambda xin, bounds, *, train: (np.full_like(xin, value), None),
         )
 
 
@@ -269,7 +269,7 @@ def margined_clean(model, x, rng, margin=0.05):
     """Clean target sitting at least ``margin`` away from every stage
     estimate, entrywise, so the absolute-error loss is smooth around a
     finite-difference evaluation point."""
-    trace = model.forward_batch([x], "eval")
+    trace = model.forward_batch([x], train=False)
     ests = np.stack(trace.estimates[1:])
     above = ests.max(axis=0) + rng.uniform(margin, 3 * margin, size=x.shape)
     below = ests.min(axis=0) - rng.uniform(margin, 3 * margin, size=x.shape)

@@ -111,7 +111,7 @@ def test_criterion_2_receptive_field():
     def run(x):
         h = x
         for blk in blocks:
-            h = blk.forward(h, (0, t_len))
+            h, _ = blk.forward(h, (0, t_len), train=False)
         return h
 
     t_len = 1100
@@ -234,7 +234,7 @@ def test_criterion_4_gradient_correctness():
     x = np.abs(rng.standard_normal((9, 6)))
     clean = margined_clean(model, x, rng)
     zero_grads(model.store)
-    trace = model.forward_batch([x], "train")
+    trace = model.forward_batch([x], train=True)
     model.backward_batch(trace, [clean])
     grads = {name: p.grad.copy() for name, p in model.store.params()}
     names = [name for name, _ in model.store.params()]
@@ -247,10 +247,10 @@ def test_criterion_4_gradient_correctness():
         orig = p.value.copy()
         p.value = orig.copy()
         p.value.reshape(-1)[flat] += h
-        up = total_loss_batch(model.forward_batch([x], "train"), [clean])[1][0]
+        up = total_loss_batch(model.forward_batch([x], train=True), [clean])[1][0]
         p.value = orig.copy()
         p.value.reshape(-1)[flat] -= h
-        down = total_loss_batch(model.forward_batch([x], "train"), [clean])[1][0]
+        down = total_loss_batch(model.forward_batch([x], train=True), [clean])[1][0]
         p.value = orig
         numeric = (up - down) / (2 * h)
         analytic = grads[names[idx]].reshape(-1)[flat]
@@ -269,14 +269,14 @@ def test_criterion_5_architectural_identities():
     randomize_params(store, rng)
     sa.delta.value = np.zeros(1)
     x = rng.standard_normal((6, 9))
-    assert np.array_equal(sa.forward(x, (0, 9)), x)
+    assert np.array_equal(sa.forward(x, (0, 9), train=False)[0], x)
 
     store2 = nn.ParamStore()
     tcn = TCNBlock(store2, "blk", 4, 6, 3, 2, rng)
     tcn.out_conv.weight.value = np.zeros((4, 6))
     tcn.out_conv.bias.value = np.zeros(4)
     x2 = rng.standard_normal((4, 10))
-    assert np.array_equal(tcn.forward(x2, (0, 10), {}), x2)
+    assert np.array_equal(tcn.forward(x2, (0, 10), train=True)[0], x2)
 
     w = rng.standard_normal((7, 9)) * 1e4
     y = nn.softmax_columns(w)
@@ -286,7 +286,7 @@ def test_criterion_5_architectural_identities():
                       blocks_per_stack=2, fft_size=16, hop=8, seed=6)
     model = MultiStageModel(toy)
     randomize_params(model.store, rng)
-    trace = model.forward_batch([np.abs(rng.standard_normal((9, 8)))], "eval")
+    trace = model.forward_batch([np.abs(rng.standard_normal((9, 8)))], train=False)
     for mask in trace.masks:
         assert np.all(mask > 0.0) and np.all(mask < 1.0)
     for k in range(1, len(trace.estimates)):

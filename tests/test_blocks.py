@@ -25,9 +25,11 @@ def _one(x):
     return (0, x.shape[1])
 
 
-def _cache(mode):
-    """A train forward is one given a cache."""
-    return {} if mode == "train" else None
+def _eval(unit, *args):
+    """Output of an eval forward (whose cache is None)."""
+    y, cache = unit.forward(*args, train=False)
+    assert cache is None
+    return y
 
 
 def _sa(f, seed=0):
@@ -67,7 +69,7 @@ class TestReceptiveField:
         def run(x):
             h = x
             for blk in blocks:
-                h = blk.forward(h, _one(h))
+                h = _eval(blk, h, _one(h))
             return h
 
         rng_x = np.random.default_rng(12)
@@ -86,7 +88,7 @@ class TestSABlock:
     def test_delta_zero_is_identity(self):
         block, _ = _sa(6, seed=3)
         x = np.random.default_rng(4).standard_normal((6, 9))
-        np.testing.assert_array_equal(block.forward(x, _one(x)), x)
+        np.testing.assert_array_equal(_eval(block, x, _one(x)), x)
 
     def test_zero_input_zero_bias_gives_zero(self):
         block, store = _sa(5, seed=5)
@@ -95,7 +97,7 @@ class TestSABlock:
             if name.endswith(".bias"):
                 p.value = np.zeros_like(p.value)
         x = np.zeros((5, 4))
-        np.testing.assert_array_equal(block.forward(x, _one(x)), np.zeros((5, 4)))
+        np.testing.assert_array_equal(_eval(block, x, _one(x)), np.zeros((5, 4)))
 
     def test_identity_projections_formula(self):
         block, _ = _sa(3, seed=6)
@@ -107,7 +109,7 @@ class TestSABlock:
         block.delta.value = np.array([1.0])
         x = np.random.default_rng(7).standard_normal((3, 2))
         expected = x + ref_softmax_columns(x @ x.T / np.sqrt(3.0)) @ x
-        np.testing.assert_allclose(block.forward(x, _one(x)), expected, atol=1e-10)
+        np.testing.assert_allclose(_eval(block, x, _one(x)), expected, atol=1e-10)
 
     def test_matches_scalar_oracle(self):
         block, store = _sa(4, seed=8)
@@ -115,7 +117,7 @@ class TestSABlock:
         randomize_params(store, rng)
         x = rng.standard_normal((4, 5))
         np.testing.assert_allclose(
-            block.forward(x, _one(x)), ref_sa_block(x, block), atol=1e-10
+            _eval(block, x, _one(x)), ref_sa_block(x, block), atol=1e-10
         )
 
     def test_grad_full_block(self):
@@ -125,10 +127,9 @@ class TestSABlock:
         c = rng.standard_normal((3, 4))
 
         def fn(x):
-            cache = {}
-            y = block.forward(x, _one(x), cache)
+            y, cache = block.forward(x, _one(x), train=True)
             zero_grads(store)
-            dx = block.backward(c, cache)
+            dx = block.backward(c, cache, _one(x))
             return float((c * y).sum()), dx
 
         assert finite_diff_check(fn, rng.standard_normal((3, 4))) < 1e-4
@@ -142,10 +143,9 @@ class TestSABlock:
 
         def fn(delta):
             block.delta.value = delta
-            cache = {}
-            y = block.forward(x, _one(x), cache)
+            y, cache = block.forward(x, _one(x), train=True)
             zero_grads(store)
-            block.backward(c, cache)
+            block.backward(c, cache, _one(x))
             return float((c * y).sum()), block.delta.grad.copy()
 
         assert finite_diff_check(fn, np.array([0.4])) < 1e-5
@@ -155,7 +155,7 @@ class TestSABlock:
         rng = np.random.default_rng(41)
         randomize_params(store, rng)
         x = rng.standard_normal((4, 12))
-        packed = block.forward(x, BOUNDS)
+        packed = _eval(block, x, BOUNDS)
         for lo, hi in zip(BOUNDS[:-1], BOUNDS[1:]):
             np.testing.assert_allclose(
                 packed[:, lo:hi], ref_sa_block(x[:, lo:hi], block), atol=1e-10
@@ -168,10 +168,9 @@ class TestSABlock:
         c = rng.standard_normal((3, 12))
 
         def fn(x):
-            cache = {}
-            y = block.forward(x, BOUNDS, cache)
+            y, cache = block.forward(x, BOUNDS, train=True)
             zero_grads(store)
-            dx = block.backward(c, cache)
+            dx = block.backward(c, cache, BOUNDS)
             return float((c * y).sum()), dx
 
         assert finite_diff_check(fn, rng.standard_normal((3, 12))) < 1e-4
@@ -183,13 +182,13 @@ class TestTCNBlock:
         block.out_conv.weight.value = np.zeros((4, 6))
         block.out_conv.bias.value = np.zeros(4)
         x = np.random.default_rng(15).standard_normal((4, 10))
-        np.testing.assert_array_equal(block.forward(x, _one(x), {}), x)
+        np.testing.assert_array_equal(block.forward(x, _one(x), train=True)[0], x)
 
     @pytest.mark.parametrize("dilation", [1, 2, 8])
     def test_output_shape_preserved(self, dilation):
         block, _ = _tcn(4, 6, 3, dilation, seed=16)
         x = np.random.default_rng(17).standard_normal((4, 7))
-        assert block.forward(x, _one(x)).shape == (4, 7)
+        assert _eval(block, x, _one(x)).shape == (4, 7)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_scalar_oracle(self, mode):
@@ -198,7 +197,7 @@ class TestTCNBlock:
         randomize_params(store, rng)
         x = rng.standard_normal((4, 9))
         expected = ref_tcn_block(x, block, mode)
-        y = block.forward(x, _one(x), _cache(mode))
+        y, _ = block.forward(x, _one(x), train=mode == "train")
         np.testing.assert_allclose(y, expected, atol=1e-10)
 
     def test_grad_full_block(self):
@@ -208,10 +207,9 @@ class TestTCNBlock:
         c = rng.standard_normal((4, 8))
 
         def fn(x):
-            cache = {}
-            y = block.forward(x, _one(x), cache)
+            y, cache = block.forward(x, _one(x), train=True)
             zero_grads(store)
-            dx = block.backward(c, cache)
+            dx = block.backward(c, cache, _one(x))
             return float((c * y).sum()), dx
 
         assert finite_diff_check(fn, rng.standard_normal((4, 8))) < 1e-3
@@ -227,7 +225,7 @@ class TestStage:
         stage, store = self._stage()
         rng = np.random.default_rng(23)
         randomize_params(store, rng)
-        mask = stage.forward(np.abs(rng.standard_normal((9, 6))), (0, 6))
+        mask = _eval(stage, np.abs(rng.standard_normal((9, 6))), (0, 6))
         assert np.all(mask > 0.0)
         assert np.all(mask < 1.0)
 
@@ -236,7 +234,7 @@ class TestStage:
         stage.out_proj.weight.value = np.zeros((9, 4))
         stage.out_proj.bias.value = np.zeros(9)
         x = np.abs(np.random.default_rng(25).standard_normal((9, 5)))
-        np.testing.assert_array_equal(stage.forward(x, _one(x)), np.full((9, 5), 0.5))
+        np.testing.assert_array_equal(_eval(stage, x, _one(x)), np.full((9, 5), 0.5))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_scalar_oracle(self, mode):
@@ -245,7 +243,7 @@ class TestStage:
         randomize_params(store, rng, scale=0.2)
         x = np.abs(rng.standard_normal((9, 4)))
         expected = ref_stage(x, stage, mode)
-        y = stage.forward(x, _one(x), _cache(mode))
+        y, _ = stage.forward(x, _one(x), train=mode == "train")
         np.testing.assert_allclose(y, expected, atol=1e-10)
 
     def test_dilations_restart_per_stack(self):
@@ -263,19 +261,19 @@ class TestFusionBlock:
         for name, p in store.params():
             if name.endswith(".bias") or name.endswith(".beta"):
                 p.value = np.zeros_like(p.value)
-        y = fusion.forward(np.zeros((5, 4)), np.zeros((5, 4)), (0, 4))
+        y = _eval(fusion, np.zeros((5, 4)), np.zeros((5, 4)), (0, 4))
         np.testing.assert_array_equal(y, np.zeros((5, 4)))
 
     def test_output_shape(self):
         fusion, _ = self._fusion()
         rng = np.random.default_rng(29)
-        y = fusion.forward(rng.standard_normal((5, 7)), rng.standard_normal((5, 7)), (0, 7))
+        y = _eval(fusion, rng.standard_normal((5, 7)), rng.standard_normal((5, 7)), (0, 7))
         assert y.shape == (5, 7)
 
     def test_shape_mismatch_rejected(self):
         fusion, _ = self._fusion()
         with pytest.raises(ValueError):
-            fusion.forward(np.zeros((5, 4)), np.zeros((5, 3)), (0, 4))
+            _eval(fusion, np.zeros((5, 4)), np.zeros((5, 3)), (0, 4))
 
     def test_matches_scalar_oracle(self):
         fusion, store = self._fusion(seed=30)
@@ -284,7 +282,7 @@ class TestFusionBlock:
         a = rng.standard_normal((5, 4))
         b = rng.standard_normal((5, 4))
         np.testing.assert_allclose(
-            fusion.forward(a, b, _one(a)), ref_fusion(a, b, fusion), atol=1e-10
+            _eval(fusion, a, b, _one(a)), ref_fusion(a, b, fusion), atol=1e-10
         )
 
     def test_grad_both_inputs(self):
@@ -295,10 +293,9 @@ class TestFusionBlock:
         c = rng.standard_normal((4, 5))
 
         def fn_a(a):
-            cache = {}
-            y = fusion.forward(a, b, _one(a), cache)
+            y, cache = fusion.forward(a, b, _one(a), train=True)
             zero_grads(store)
-            da, _ = fusion.backward(c, cache)
+            da, _ = fusion.backward(c, cache, _one(a))
             return float((c * y).sum()), da
 
         assert finite_diff_check(fn_a, rng.standard_normal((4, 5))) < 1e-4

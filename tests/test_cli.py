@@ -88,6 +88,13 @@ class TestInfo:
         result = run_cli("info", "--config", cfg)
         assert result.returncode == 2
 
+    def test_non_utf8_config_exits_2_naming_file(self, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_bytes(b"stages = 2\n\xff\n")
+        result = run_cli("info", "--config", cfg)
+        assert result.returncode == 2
+        assert f"{cfg}: not UTF-8 at byte offset 11" in result.stderr
+
     def test_missing_config_exits_2(self, tmp_path):
         result = run_cli("info", "--config", tmp_path / "nope.conf")
         assert result.returncode == 2
@@ -307,9 +314,37 @@ class TestManifestChecks:
         err = capsys.readouterr().err
         assert "silent" in err and str(tmp_path / "clean0.wav") in err
 
+    def test_non_utf8_manifest_exits_2_naming_file(self, tmp_path, toy_config, capsys):
+        manifest = self._manifest(tmp_path, [(8000, 4000, 8000, 4000)])
+        good = manifest.read_bytes()
+        manifest.write_bytes(good + b"\xff\n")
+        assert self._run("eval", manifest, tmp_path, toy_config) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: not UTF-8 at byte offset {len(good)}" in err
+
     def test_train_accepts_silent_targets(self, tmp_path, toy_config):
         manifest = self._manifest(tmp_path, [(8000, 4000, 8000, 4000)], True)
         assert self._run("train", manifest, tmp_path, toy_config) == 0
+
+
+class TestTrainConfigValues:
+    # file key -> TrainConfig field the message names
+    FIELDS = {"lr": "lr", "adam_eps": "eps", "clip_norm": "clip_norm"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", sorted(FIELDS))
+    def test_non_finite_exits_2(self, key, value, tmp_path, toy_config, capsys):
+        lines = toy_config.read_text().splitlines()
+        lines = [line for line in lines if not line.startswith(f"{key} ")]
+        config = tmp_path / "bad.conf"
+        config.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        ckpt = tmp_path / "model.ckpt"
+        rc = cli.run(["train", "--config", str(config),
+                      "--data", str(tmp_path / "manifest.tsv"), "--out", str(ckpt)])
+        assert rc == 2
+        field = self.FIELDS[key]
+        assert f"{config}: {field} must be finite, got {value}" in capsys.readouterr().err
+        assert not ckpt.exists()
 
 
 class TestUsage:

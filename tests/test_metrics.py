@@ -115,9 +115,9 @@ class TestEvaluateSet:
         batch_sizes = []
         forward_batch = model.forward_batch
 
-        def counted(xs, mode="eval"):
+        def counted(xs, *, train):
             batch_sizes.append(len(xs))
-            return forward_batch(xs, mode)
+            return forward_batch(xs, train=train)
 
         monkeypatch.setattr(model, "forward_batch", counted)
         evaluate_set(model, pairs)

@@ -63,7 +63,7 @@ class TestForward:
         model = MultiStageModel(cfg)
         rng = np.random.default_rng(3)
         x = _toy_input(rng)
-        trace = model.forward_batch([x], "eval")
+        trace = model.forward_batch([x], train=False)
         assert len(trace.masks) == 1
         assert len(trace.estimates) == 2
         np.testing.assert_array_equal(trace.estimates[1], trace.masks[0] * x)
@@ -73,7 +73,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         x = _toy_input(rng)
         constant_masks(monkeypatch, model, 1.0)
-        trace = model.forward_batch([x], "eval")
+        trace = model.forward_batch([x], train=False)
         np.testing.assert_array_equal(trace.estimates[-1], x)
 
     def test_cascade_contracts(self):
@@ -81,7 +81,7 @@ class TestForward:
         rng = np.random.default_rng(6)
         randomize_params(model.store, rng)
         x = _toy_input(rng, t=8)
-        trace = model.forward_batch([x], "eval")
+        trace = model.forward_batch([x], train=False)
         for k in range(1, len(trace.estimates)):
             assert np.all(trace.estimates[k] >= 0.0)
             assert np.all(trace.estimates[k] <= trace.estimates[k - 1])
@@ -90,19 +90,19 @@ class TestForward:
         model = MultiStageModel(TOY)
         rng = np.random.default_rng(7)
         x = _toy_input(rng)
-        t1 = model.forward_batch([x], "eval")
-        t2 = model.forward_batch([x], "eval")
+        t1 = model.forward_batch([x], train=False)
+        t2 = model.forward_batch([x], train=False)
         assert np.array_equal(t1.estimates[-1], t2.estimates[-1])
 
     def test_rejects_negative_input(self):
         model = MultiStageModel(TOY)
         with pytest.raises(ValueError):
-            model.forward_batch([-np.ones((9, 4))], "eval")
+            model.forward_batch([-np.ones((9, 4))], train=False)
 
     def test_rejects_wrong_bin_count(self):
         model = MultiStageModel(TOY)
         with pytest.raises(ValueError):
-            model.forward_batch([np.ones((8, 4))], "eval")
+            model.forward_batch([np.ones((8, 4))], train=False)
 
 
 class TestTotalLoss:
@@ -112,7 +112,7 @@ class TestTotalLoss:
         model = MultiStageModel(cfg)
         x = np.full((9, 4), 2.0)
         constant_masks(monkeypatch, model, 0.5)
-        trace = model.forward_batch([x], "eval")
+        trace = model.forward_batch([x], train=False)
         per_stage, (total,) = total_loss_batch(trace, [np.ones((9, 4))])
         assert per_stage == [0.0]
         assert total == 0.0
@@ -123,7 +123,7 @@ class TestTotalLoss:
         randomize_params(model.store, rng)
         x = _toy_input(rng)
         clean = _toy_input(rng)
-        trace = model.forward_batch([x], "eval")
+        trace = model.forward_batch([x], train=False)
         per_stage, (total,) = total_loss_batch(trace, [clean])
         ref_per, ref_total = ref_cascade_loss(trace.masks, x, clean)
         np.testing.assert_allclose(per_stage, ref_per, atol=1e-10)
@@ -131,7 +131,7 @@ class TestTotalLoss:
 
     def test_shape_mismatch_rejected(self):
         model = MultiStageModel(TOY)
-        trace = model.forward_batch([np.ones((9, 4))], "eval")
+        trace = model.forward_batch([np.ones((9, 4))], train=False)
         with pytest.raises(ValueError):
             total_loss_batch(trace, [np.ones((9, 5))])
 
@@ -143,12 +143,32 @@ class TestTotalLoss:
     def test_target_shapes_checked(self, lengths, targets):
         # the loss and its gradient reject the same targets
         model = MultiStageModel(TOY)
-        trace = model.forward_batch([np.ones((9, t)) for t in lengths], "train")
+        trace = model.forward_batch([np.ones((9, t)) for t in lengths], train=True)
         cleans = [np.ones(shape) for shape in targets]
         with pytest.raises(ValueError, match="target"):
             total_loss_batch(trace, cleans)
         with pytest.raises(ValueError, match="target"):
             model.backward_batch(trace, cleans)
+
+    def test_backward_rejects_eval_trace(self):
+        model = MultiStageModel(TOY)
+        x = np.ones((9, 4))
+        trace = model.forward_batch([x], train=False)
+        assert trace.caches is None
+        with pytest.raises(ValueError, match="train forward"):
+            model.backward_batch(trace, [x])
+
+    def test_train_is_keyword_only(self):
+        # a positional mode string would be truthy and run a train forward
+        # that moves the batch-norm running statistics
+        model = MultiStageModel(TOY)
+        before = [v.copy() for _, v in model.store.buffers()]
+        with pytest.raises(TypeError):
+            model.forward_batch([np.ones((9, 4))], "eval")
+        with pytest.raises(TypeError):
+            model.forward_batch([np.ones((9, 4))])
+        for (_, v), old in zip(model.store.buffers(), before):
+            assert np.array_equal(v, old)
 
 
 class TestGradients:
@@ -160,7 +180,7 @@ class TestGradients:
         randomize_params(model.store, rng)
         x = _toy_input(rng, t=7)
         clean = _toy_input(rng, t=7)
-        trace = model.forward_batch([x], "train")
+        trace = model.forward_batch([x], train=True)
         model.backward_batch(trace, [clean])
         for name, p in model.store.params():
             assert np.abs(p.grad).max() > 0.0, f"no gradient reached {name}"
@@ -173,12 +193,12 @@ class TestGradients:
         clean = margined_clean(model, x, rng)
 
         def loss_value():
-            trace = model.forward_batch([x], "train")
+            trace = model.forward_batch([x], train=True)
             return total_loss_batch(trace, [clean])[1][0]
 
         def analytic_grads():
             zero_grads(model.store)
-            trace = model.forward_batch([x], "train")
+            trace = model.forward_batch([x], train=True)
             model.backward_batch(trace, [clean])
             return {name: p.grad.copy() for name, p in model.store.params()}
 
@@ -210,7 +230,7 @@ class TestGradients:
 
     def test_backward_requires_train_trace(self):
         model = MultiStageModel(TOY)
-        trace = model.forward_batch([np.ones((9, 4))], "eval")
+        trace = model.forward_batch([np.ones((9, 4))], train=False)
         with pytest.raises(ValueError):
             model.backward_batch(trace, [np.ones((9, 4))])
 
@@ -224,11 +244,11 @@ class TestGradients:
         cleans = [margined_clean(model, x, rng) for x in xs]
 
         def objective():
-            trace = model.forward_batch(xs, "train")
+            trace = model.forward_batch(xs, train=True)
             return float(np.mean(total_loss_batch(trace, cleans)[1]))
 
         zero_grads(model.store)
-        trace = model.forward_batch(xs, "train")
+        trace = model.forward_batch(xs, train=True)
         model.backward_batch(trace, cleans)
         grads = {name: p.grad.copy() for name, p in model.store.params()}
         names = [name for name, _ in model.store.params()]
@@ -264,11 +284,11 @@ class TestGradients:
         buffers = {n: b.copy() for n, b in model.store.buffers()}
 
         def objective():
-            trace = model.forward_batch(xs, "train")
+            trace = model.forward_batch(xs, train=True)
             return float(np.mean(total_loss_batch(trace, cleans)[1]))
 
         zero_grads(model.store)
-        trace = model.forward_batch(xs, "train")
+        trace = model.forward_batch(xs, train=True)
         gx = model.backward_batch(trace, cleans)
         grads = {name: p.grad.copy() for name, p in model.store.params()}
         names = [name for name, _ in model.store.params()]
@@ -294,10 +314,10 @@ class TestGradients:
             row = int(rng.integers(9))
             bumped = [x.copy() for x in xs]
             bumped[item][row, local] += h
-            trace_up = model.forward_batch(bumped, "train")
+            trace_up = model.forward_batch(bumped, train=True)
             up = float(np.mean(total_loss_batch(trace_up, cleans)[1]))
             bumped[item][row, local] -= 2 * h
-            trace_down = model.forward_batch(bumped, "train")
+            trace_down = model.forward_batch(bumped, train=True)
             down = float(np.mean(total_loss_batch(trace_down, cleans)[1]))
             numeric = (up - down) / (2 * h)
             worst = max(worst, abs(gx[row, col] - numeric)

@@ -21,15 +21,7 @@ ALLOWED = {
     "audio.SynthConfig.sample_rate",
     "audio.synth_toy_dataset(cfg)",
     "audio.synth_toy_dataset(seed)",
-    "blocks.FusionBlock.forward(cache)",
-    "blocks.SABlock.forward(cache)",
-    "blocks.Stage.forward(cache)",
-    "blocks.TCNBlock.forward(cache)",
-    "blocks._FusionBranch.forward(cache)",
     "cli.run(argv)",
-    "model.BatchTrace.fusion_caches",
-    "model.BatchTrace.stage_caches",
-    "model.MultiStageModel.forward_batch(mode)",
     "nn.ParamStore.count(prefix)",
     "train.save_checkpoint(state)",
 }

@@ -206,14 +206,14 @@ class TestPadBatch:
         pairs = self._mixed_length_pairs()
         batch = pad_batch(pairs)
         xs, cleans = batch_spectra(batch, win)
-        trace = model.forward_batch(xs, "eval")
+        trace = model.forward_batch(xs, train=False)
         _, item_totals = total_loss_batch(trace, cleans)
         batch_total = np.mean(item_totals)
         singles = []
         for noisy, clean in pairs:
             x_mag, _ = dsp.stft(noisy.samples, win)
             s_mag, _ = dsp.stft(clean.samples, win)
-            single = model.forward_batch([x_mag], "eval")
+            single = model.forward_batch([x_mag], train=False)
             singles.append(total_loss_batch(single, [s_mag])[1][0])
         assert abs(batch_total - np.mean(singles)) < 1e-12
 
@@ -231,9 +231,9 @@ class TestPadBatch:
             cleans_direct.append(dsp.stft(clean.samples, win)[0])
         for a, b in zip(xs_padded, xs_direct):
             assert np.array_equal(a, b)
-        trace_padded = model.forward_batch(xs_padded, "train")
+        trace_padded = model.forward_batch(xs_padded, train=True)
         stage_a, totals_a = total_loss_batch(trace_padded, cleans_padded)
-        trace_direct = model.forward_batch(xs_direct, "train")
+        trace_direct = model.forward_batch(xs_direct, train=True)
         stage_b, totals_b = total_loss_batch(trace_direct, cleans_direct)
         assert totals_a == totals_b
         assert stage_a == stage_b
@@ -249,7 +249,7 @@ class TestPadBatch:
             t_frames = dsp.frame_count(valid_len, win)
             x_mag, _ = dsp.stft(noisy_samples, win)
             s_mag, _ = dsp.stft(clean_samples, win)
-            trace = model.forward_batch([x_mag[:, :t_frames]], "eval")
+            trace = model.forward_batch([x_mag[:, :t_frames]], train=False)
             return total_loss_batch(trace, [s_mag[:, :t_frames]])[1][0]
 
         loss_plain = masked_loss(noisy.samples, clean.samples, 500)
@@ -482,6 +482,19 @@ class TestCheckpoint:
         assert "negative extent -1" in err
         # 52-byte header, name length, "stage1.sa.wq.weight" (19 bytes), rank
         assert f"(offset {56 + 19 + 4})" in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_exits_2_naming_tensor(self, tmp_path, capsys, value):
+        def patch(data, _, extent_at):
+            # the first tensor is rank 2; its data follows the two extents
+            struct.pack_into("<f", data, extent_at + 8 + 4 * 5, value)
+
+        rc, err = self._enhance_corrupt(tmp_path, capsys, patch)
+        assert rc == 2
+        assert str(tmp_path / "bad.ckpt") in err
+        assert f"non-finite value {value} in stage1.sa.wq.weight" in err
+        # 52-byte header, name length, 19-byte name, rank, two extents, 5 values
+        assert f"(offset {56 + 19 + 4 + 8 + 4 * 5})" in err
 
     @pytest.mark.parametrize("values", [
         [], [float("nan")], [-1.0], [2.5], [2.0, 3.0],
