@@ -96,8 +96,7 @@ def _load_pairs(manifest_path: str, fft_size: int, scored: bool):
 
 def cmd_info(args) -> int:
     cfg = parse_config_file(args.config).model
-    model = MultiStageModel(cfg)
-    counts = model.count_parameters()
+    counts = cfg.parameter_counts()
     rf = receptive_field(cfg.kernel, cfg.blocks_per_stack)
     print(f"fft_size: {cfg.fft_size}")
     print(f"hop: {cfg.hop}")

@@ -1,9 +1,11 @@
 """Plain-text run configuration: `key = value` lines, `#` comment lines.
 
 Unknown keys are rejected with the offending line number, and every value is
-validated before any work starts.  Missing keys fall back to the dataclass
-defaults of ``ModelConfig`` (the paper geometry) and ``TrainConfig`` (the
-standard recipe), which are the only copies of them.
+validated before any work starts; a rejected value is reported as
+``<path>:<line>: <key>: <problem>`` under the key as the file spells it.
+Missing keys fall back to the dataclass defaults of ``ModelConfig`` (the
+paper geometry) and ``TrainConfig`` (the standard recipe), which are the only
+copies of them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import io
 import os
 from dataclasses import dataclass
 
-from .model import ModelConfig
+from .model import FieldError, ModelConfig
 from .train import TrainConfig
 
 
@@ -63,6 +65,7 @@ def parse_config_file(path: str) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -78,23 +81,26 @@ def parse_config_file(path: str) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        raw[key] = value
+        raw[key], lines[key] = value, lineno
 
     def typed(key, caster):
         try:
             return caster(raw[key])
         except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key!r}: {raw[key]!r}") from exc
+            raise ConfigError(
+                f"{path}:{lines[key]}: {key}: bad value {raw[key]!r}"
+            ) from exc
 
-    model_kwargs = {f: typed(k, c) for k, (f, c) in _MODEL_KEYS.items() if k in raw}
-    train_kwargs = {f: typed(k, c) for k, (f, c) in _TRAIN_KEYS.items() if k in raw}
-    try:
-        model_cfg = ModelConfig(**model_kwargs)
-        train_cfg = TrainConfig(**train_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    def build(cls, keys):
+        try:
+            return cls(**{f: typed(k, c) for k, (f, c) in keys.items() if k in raw})
+        except FieldError as exc:
+            key = next(k for k, (f, _) in keys.items() if f in exc.fields and k in raw)
+            raise ConfigError(f"{path}:{lines[key]}: {key}: {exc.problem}") from exc
+
     return RunConfig(
-        model_cfg, train_cfg, raw.get("train_manifest"), raw.get("checkpoint")
+        build(ModelConfig, _MODEL_KEYS), build(TrainConfig, _TRAIN_KEYS),
+        raw.get("train_manifest"), raw.get("checkpoint"),
     )
 
 

@@ -20,13 +20,25 @@ hands the trace back, so per-stage losses come from the same forward.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dsp, nn
-from .blocks import FusionBlock, Stage
+from .blocks import FusionBlock, Stage, receptive_field
 from .nn import Array, ParamStore
+
+INT32_MAX = 2**31 - 1
+
+
+class FieldError(ValueError):
+    """An out-of-range config value; ``fields`` names the dataclass fields
+    it depends on, so a config file can point at the line that set one."""
+
+    def __init__(self, fields: tuple[str, ...], problem: str):
+        super().__init__(f"{'/'.join(fields)}: {problem}")
+        self.fields = fields
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,9 @@ class ModelConfig:
     """Structural hyper-parameters plus the STFT geometry and init seed.
 
     The defaults are the paper geometry, and the only model defaults: config
-    files and the CLI fall back to them.
+    files and the CLI fall back to them.  Every field but the seed is an
+    int32 in the checkpoint header, the seed an int64, and the receptive
+    field must fit in an int32 too.
     """
 
     stages: int = 5
@@ -48,15 +62,23 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("stages", "hidden", "bottleneck", "stacks", "blocks_per_stack"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
+        # 31 blocks keep the last dilation, 2**30, in int32, and bound
+        # blocks_per_stack before receptive_field evaluates 2**blocks_per_stack
+        highs = {"blocks_per_stack": 31, "seed": 2**63 - 1}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            low = 0 if field.name == "seed" else 1
+            high = highs.get(field.name, INT32_MAX)
+            if not low <= value <= high:
+                raise FieldError((field.name,), f"must lie in [{low}, {high}], got {value}")
+        if self.kernel % 2 == 0:
+            raise FieldError(("kernel",), f"must be odd, got {self.kernel}")
         if self.fft_size < 4 or self.fft_size % 2 != 0:
-            raise ValueError(f"fft_size must be even and >= 4, got {self.fft_size}")
-        if self.hop < 1:
-            raise ValueError(f"hop must be >= 1, got {self.hop}")
+            raise FieldError(("fft_size",), f"must be even and >= 4, got {self.fft_size}")
+        rf = receptive_field(self.kernel, self.blocks_per_stack)
+        if rf > INT32_MAX:
+            raise FieldError(("blocks_per_stack", "kernel"),
+                             f"receptive field of {rf} frames exceeds {INT32_MAX}")
 
     @property
     def freq_bins(self) -> int:
@@ -66,14 +88,26 @@ class ModelConfig:
     def num_fusions(self) -> int:
         return max(0, self.stages - 2)
 
+    def parameter_counts(self) -> dict[str, int]:
+        """Exact trainable parameter counts by component, in closed form."""
+        f, b, h = self.freq_bins, self.bottleneck, self.hidden
+        sa = 3 * (f * f + f) + 1  # query, key and value convs, then delta
+        # 1x1 convs in and out, depthwise taps; 8h: its bias, 2 PReLUs, 2 BN affines
+        tcn_block = 2 * h * b + b + h * self.kernel + 8 * h
+        tcn = self.stacks * self.blocks_per_stack * tcn_block
+        glue = 2 * f * b + b + f  # bottleneck and output projection convs
+        per_stage = sa + tcn + glue
+        fusion = 4 * f * f + 14 * f if self.num_fusions else 0
+        return dict(sa_block=sa, tcn_blocks=tcn, stage_glue=glue, per_stage=per_stage,
+                    fusion_block=fusion,
+                    total=self.stages * per_stage + self.num_fusions * fusion)
+
     @property
     def state_floats(self) -> int:
-        """Parameter plus buffer values of the model this config builds."""
-        f, b, h = self.freq_bins, self.bottleneck, self.hidden
-        sa = 3 * f * f + 3 * f + 1
-        tcn = 2 * h * b + b + h * self.kernel + 12 * h  # 4h: BN running stats
-        stage = sa + 2 * f * b + b + f + self.stacks * self.blocks_per_stack * tcn
-        return self.stages * stage + self.num_fusions * (4 * f * f + 14 * f)
+        """Parameter plus buffer values of the model this config builds; the
+        buffers are the 4 * hidden BN running statistics of each TCN block."""
+        tcn_blocks = self.stages * self.stacks * self.blocks_per_stack
+        return self.parameter_counts()["total"] + tcn_blocks * 4 * self.hidden
 
 
 @dataclass
@@ -218,25 +252,6 @@ class MultiStageModel:
         hop = self.config.hop
         out = dsp.istft(trace.estimates[-1], phase, self.window, hop + len(x))
         return dsp.Waveform(out[hop:], x.sample_rate), trace
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def count_parameters(self) -> dict[str, int]:
-        """Exact parameter counts by component (trainable tensors only)."""
-        store = self.store
-        sa = store.count("stage1.sa.")
-        tcn = store.count("stage1.stack")
-        glue = store.count("stage1.bottleneck.") + store.count("stage1.out_proj.")
-        per_stage = store.count("stage1.")
-        fusion = store.count("fusion3.") if self.fusions else 0
-        return {
-            "sa_block": sa,
-            "tcn_blocks": tcn,
-            "stage_glue": glue,
-            "per_stage": per_stage,
-            "fusion_block": fusion,
-            "total": store.count(),
-        }
 
 
 def _check_targets(trace: BatchTrace, cleans: list[Array]) -> list[Array]:

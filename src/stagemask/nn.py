@@ -114,10 +114,8 @@ class ParamStore:
     def buffers(self):
         return self._buffers.items()
 
-    def count(self, prefix: str = "") -> int:
-        return sum(
-            p.value.size for name, p in self._params.items() if name.startswith(prefix)
-        )
+    def count(self) -> int:
+        return sum(p.value.size for p in self._params.values())
 
 
 @dataclass

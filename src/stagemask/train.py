@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .model import ModelConfig, MultiStageModel, total_loss_batch
+from .model import FieldError, ModelConfig, MultiStageModel, total_loss_batch
 from .nn import Array, ParamStore
 
 CHECKPOINT_MAGIC = b"SATCN001"
@@ -52,17 +52,20 @@ class TrainConfig:
         for name in ("lr", "eps", "clip_norm"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.batch < 1 or self.epochs < 1:
-            raise ValueError("batch and epochs must be >= 1")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+                raise FieldError((name,), f"must be finite, got {value}")
+        checks = (
+            ("lr", self.lr >= 0, "be >= 0"),
+            ("beta1", 0 < self.beta1 < 1, "lie in (0, 1)"),
+            ("beta2", 0 < self.beta2 < 1, "lie in (0, 1)"),
+            ("eps", self.eps > 0, "be positive"),
+            ("batch", self.batch >= 1, "be >= 1"),
+            ("epochs", self.epochs >= 1, "be >= 1"),
+            ("seed", self.seed >= 0, "be >= 0"),
+            ("clip_norm", self.clip_norm is None or self.clip_norm > 0, "be positive"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise FieldError((name,), f"must {rule}, got {getattr(self, name)}")
 
 
 class AdamState:
@@ -215,14 +218,31 @@ def fit(
 # ---------------------------------------------------------------------------
 # checkpoint format: little-endian binary
 #   magic "SATCN001"
-#   8 x int32: stages hidden bottleneck stacks blocks_per_stack kernel fft_size hop
+#   8 x int32: the config's _HEADER_FIELDS, in that order
 #   1 x int64: seed
 #   1 x int32: tensor count
 #   per tensor: int32 name length, UTF-8 name, int32 rank, rank x int32 extents,
 #               float32 data (row-major)
-# Tensors are parameters in store order, then buffers, then (optionally) Adam
-# state under "adam.m." / "adam.v." prefixes plus a 1-element "adam.step".
+# The tensors are exactly those of ``_tensors``, in its order.
 # ---------------------------------------------------------------------------
+
+_HEADER_FIELDS = ("stages", "hidden", "bottleneck", "stacks", "blocks_per_stack",
+                  "kernel", "fft_size", "hop")
+
+
+def _tensors(model: MultiStageModel, state: AdamState | None):
+    """(name, array) of every tensor a checkpoint holds, in file order:
+    parameters in store order, then buffers, then with optimizer state the
+    Adam moments under "adam.m." / "adam.v." prefixes and a 1-element
+    "adam.step"."""
+    store = model.store
+    yield from ((name, p.value) for name, p in store.params())
+    yield from store.buffers()
+    if state is not None:
+        yield from ((f"adam.m.{name}", m) for name, m in store.views(state.m))
+        yield from ((f"adam.v.{name}", v) for name, v in store.views(state.v))
+        yield "adam.step", np.array([float(state.step)])
+
 
 def _tensor_bytes(name: str, value: Array) -> bytes:
     encoded = name.encode("utf-8")
@@ -240,17 +260,10 @@ def save_checkpoint(
     fsynced and renamed onto ``path``, so a failure at any point leaves the
     previous file as it was."""
     cfg = model.config
-    tensors: list[tuple[str, Array]] = []
-    tensors += [(name, p.value) for name, p in model.store.params()]
-    tensors += list(model.store.buffers())
-    if state is not None:
-        tensors += [(f"adam.m.{name}", m) for name, m in model.store.views(state.m)]
-        tensors += [(f"adam.v.{name}", v) for name, v in model.store.views(state.v)]
-        tensors.append(("adam.step", np.array([float(state.step)])))
+    tensors = list(_tensors(model, state))
     header = [
         CHECKPOINT_MAGIC,
-        struct.pack("<8i", cfg.stages, cfg.hidden, cfg.bottleneck, cfg.stacks,
-                    cfg.blocks_per_stack, cfg.kernel, cfg.fft_size, cfg.hop),
+        struct.pack("<8i", *(getattr(cfg, name) for name in _HEADER_FIELDS)),
         struct.pack("<q", cfg.seed),
         struct.pack("<i", len(tensors)),
     ]
@@ -291,51 +304,34 @@ class _Reader:
         return struct.unpack("<q", self.take(8))[0]
 
 
-def _fill(tensors: dict[str, Array], dests, kind: str, end: int):
-    """Copy each named file tensor into its (name, destination array)."""
-    for name, dest in dests:
-        if name not in tensors:
-            raise FormatError(f"missing {kind} {name}", end)
-        if tensors[name].shape != dest.shape:
-            raise FormatError(
-                f"shape mismatch for {kind} {name}: file {tensors[name].shape} "
-                f"vs model {dest.shape}",
-                end,
-            )
-        dest[...] = tensors.pop(name)
-
-
 def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
     """Rebuild a model (and optionally its optimizer state) from a file.
 
-    The tensor list must cover every parameter and buffer exactly once with
-    matching shapes and finite values, and the file must contain nothing
-    after the last tensor.
+    The file must hold exactly the tensors ``_tensors`` lists for the
+    header's config, in that order, with matching shapes and finite values,
+    and nothing after the last one.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise FormatError("bad magic", 0)
-    stages, hidden, bottleneck, stacks, blocks_per_stack, kernel, fft_size, hop = (
-        struct.unpack("<8i", r.take(32))
-    )
+    fields = dict(zip(_HEADER_FIELDS, struct.unpack("<8i", r.take(32))))
     seed = r.i8()
     try:
-        config = ModelConfig(
-            stages, hidden, bottleneck, stacks, blocks_per_stack,
-            kernel, fft_size, hop, seed,
-        )
+        config = ModelConfig(**fields, seed=seed)
     except ValueError as exc:
         raise FormatError(f"invalid config: {exc}", len(CHECKPOINT_MAGIC)) from exc
+    count_at = r.offset
     n_tensors = r.i4()
     if n_tensors < 0:
-        raise FormatError(f"negative tensor count {n_tensors}", r.offset - 4)
-    tensors: dict[str, Array] = {}
+        raise FormatError(f"negative tensor count {n_tensors}", count_at)
+    table = []  # (offset, name, float32 view of the file)
     for _ in range(n_tensors):
+        at = r.offset
         name_len = r.i4()
         if name_len <= 0:
-            raise FormatError(f"bad name length {name_len}", r.offset - 4)
+            raise FormatError(f"bad name length {name_len}", at)
         try:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -353,47 +349,41 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
                     f"negative extent {extent} for {name}", extents_at + 4 * j
                 )
         count = math.prod(extents)
-        raw = r.take(4 * count)
-        if name in tensors:
-            raise FormatError(f"duplicate tensor {name}", r.offset)
-        # float32 views of the file; each is copied into its float64 home below
-        values = np.frombuffer(raw, dtype="<f4")
+        values = np.frombuffer(r.take(4 * count), dtype="<f4")
         if not np.isfinite(values).all():
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            at = r.offset - 4 * (count - bad)
-            raise FormatError(f"non-finite value {values[bad]} in {name}", at)
-        tensors[name] = values.reshape(extents)
+            at_bad = r.offset - 4 * (count - bad)
+            raise FormatError(f"non-finite value {values[bad]} in {name}", at_bad)
+        table.append((at, name, values.reshape(extents)))
     end = len(data)
     if r.offset != end:
         raise FormatError(f"{end - r.offset} trailing bytes", r.offset)
     # the header alone must not size an allocation: check it against the table
-    floats = sum(t.size for n, t in tensors.items() if not n.startswith("adam."))
+    floats = sum(v.size for _, name, v in table if not name.startswith("adam."))
     if floats != config.state_floats:
         raise FormatError(
             f"tensors hold {floats} model values, the header's config needs "
             f"{config.state_floats}", end,
         )
     model = MultiStageModel(config)
-    params = ((name, p.value) for name, p in model.store.params())
-    _fill(tensors, params, "parameter", end)
-    _fill(tensors, model.store.buffers(), "buffer", end)
-    state = None
-    if tensors:
-        if "adam.step" not in tensors:
+    n_model = len(model.store.params()) + len(model.store.buffers())
+    # optimizer state, when present, follows the model's own tensors
+    state = AdamState(model.store) if n_tensors > n_model else None
+    layout = list(_tensors(model, state))
+    if n_tensors != len(layout):
+        raise FormatError(f"expected {len(layout)} tensors, found {n_tensors}", count_at)
+    for (at, name, values), (want, dest) in zip(table, layout):
+        if name != want or values.shape != dest.shape:
             raise FormatError(
-                f"unexpected tensors without optimizer state: {sorted(tensors)[:3]}",
-                end,
+                f"expected {want} {dest.shape}, found {name} {values.shape}", at
             )
-        step = tensors.pop("adam.step")
-        if step.shape != (1,) or not (step[0] >= 0 and float(step[0]).is_integer()):
+        dest[...] = values  # the one float32 -> float64 copy
+    if state is not None:  # the last tensor, adam.step, is now filled in
+        step = layout[-1][1][0]
+        if step < 0 or not step.is_integer():
             raise FormatError(
-                f"adam.step must hold one non-negative integer, got {step!r}", end
+                f"adam.step must hold one non-negative integer, got {step}",
+                table[-1][0],
             )
-        state = AdamState(model.store)
-        state.step = int(step[0])
-        for prefix, vector in (("adam.m.", state.m), ("adam.v.", state.v)):
-            views = ((prefix + name, v) for name, v in model.store.views(vector))
-            _fill(tensors, views, "optimizer tensor", end)
-        if tensors:
-            raise FormatError(f"unknown tensors: {sorted(tensors)[:3]}", end)
+        state.step = int(step)
     return model, state

@@ -304,3 +304,21 @@ def finite_diff_check(fn, point, h=1e-4):
 def zero_grads(store):
     """Clear every parameter gradient of ``store`` (packing it if needed)."""
     store.flat()[1][...] = 0.0
+
+
+def prefix_counts(model):
+    """Per-component parameter counts of a built model, summed over its
+    store by name prefix: the oracle for ``ModelConfig.parameter_counts``."""
+    def count(prefix):
+        return sum(
+            p.value.size for name, p in model.store.params() if name.startswith(prefix)
+        )
+
+    return {
+        "sa_block": count("stage1.sa."),
+        "tcn_blocks": count("stage1.stack"),
+        "stage_glue": count("stage1.bottleneck.") + count("stage1.out_proj."),
+        "per_stage": count("stage1."),
+        "fusion_block": count("fusion3."),
+        "total": count(""),
+    }

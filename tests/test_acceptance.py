@@ -17,7 +17,7 @@ from stagemask.blocks import SABlock, TCNBlock, receptive_field
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
 from reference import (
-    finite_diff_check, margined_clean, randomize_params, zero_grads,
+    finite_diff_check, margined_clean, prefix_counts, randomize_params, zero_grads,
 )
 
 TOY_CONFIG_TEXT = (
@@ -80,7 +80,8 @@ def overfit(tmp_path_factory):
 def test_criterion_1_parameter_counts():
     large = ModelConfig(stages=5, hidden=256, bottleneck=128, stacks=3,
                         blocks_per_stack=8)
-    counts = MultiStageModel(large).count_parameters()
+    counts = prefix_counts(MultiStageModel(large))
+    assert counts == large.parameter_counts()
     assert counts["sa_block"] == 3 * (257 * 257 + 257) + 1 == 198_919
     assert abs(counts["sa_block"] - 200_000) <= 0.02 * 200_000
     assert counts["tcn_blocks"] == 1_643_520

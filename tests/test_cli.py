@@ -99,6 +99,16 @@ class TestInfo:
         result = run_cli("info", "--config", tmp_path / "nope.conf")
         assert result.returncode == 2
 
+    def test_builds_no_model(self, tmp_path, monkeypatch, capsys):
+        def no_model(cfg):
+            raise MemoryError("info built a model")
+
+        monkeypatch.setattr(cli, "MultiStageModel", no_model)
+        config = tmp_path / "large.conf"
+        config.write_text("stages = 5\nhidden = 256\nbottleneck = 128\n")
+        assert cli.run(["info", "--config", str(config)]) == 0
+        assert parse_kv(capsys.readouterr().out)["params_sa_block"] == "198919"
+
 
 class TestSynth:
     def test_writes_dataset_and_manifest(self, tmp_path):
@@ -328,11 +338,8 @@ class TestManifestChecks:
 
 
 class TestTrainConfigValues:
-    # file key -> TrainConfig field the message names
-    FIELDS = {"lr": "lr", "adam_eps": "eps", "clip_norm": "clip_norm"}
-
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", sorted(FIELDS))
+    @pytest.mark.parametrize("key", ["adam_eps", "clip_norm", "lr"])
     def test_non_finite_exits_2(self, key, value, tmp_path, toy_config, capsys):
         lines = toy_config.read_text().splitlines()
         lines = [line for line in lines if not line.startswith(f"{key} ")]
@@ -342,8 +349,53 @@ class TestTrainConfigValues:
         rc = cli.run(["train", "--config", str(config),
                       "--data", str(tmp_path / "manifest.tsv"), "--out", str(ckpt)])
         assert rc == 2
-        field = self.FIELDS[key]
-        assert f"{config}: {field} must be finite, got {value}" in capsys.readouterr().err
+        where = f"{config}:{len(lines) + 1}: {key}"
+        assert f"{where}: must be finite, got {value}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+
+class TestConfigValueErrors:
+    """A rejected value exits 2 before any work, naming the key as written
+    and its line; the ranges keep every header field and the receptive field
+    in int32 and the seed in int64."""
+
+    CASES = {  # settings appended to the toy config; the last one is rejected
+        "adam_eps": (["adam_eps = 0"], "adam_eps: must be positive, got 0.0"),
+        "blocks": (["blocks = 0"], "blocks: must lie in [1, 31], got 0"),
+        "blocks-15000": (["stages = 1", "blocks = 15000"],
+                         "blocks: must lie in [1, 31], got 15000"),
+        "receptive-field": (["kernel = 3", "blocks = 31"],
+                            "blocks: receptive field of 4294967295 frames "
+                            "exceeds 2147483647"),
+        "hidden-int32": (["hidden = 2147483648"],
+                         "hidden: must lie in [1, 2147483647], got 2147483648"),
+        "seed-negative": (["seed = -1"],
+                          "seed: must lie in [0, 9223372036854775807], got -1"),
+        "seed-int64": (["seed = 9223372036854775808"],
+                       "seed: must lie in [0, 9223372036854775807], "
+                       "got 9223372036854775808"),
+        "train_seed": (["train_seed = -1"], "train_seed: must be >= 0, got -1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["info", "train"])
+    def test_exits_2_naming_key_and_line(self, command, case, tmp_path, toy_config,
+                                         capsys):
+        settings, problem = self.CASES[case]
+        keys = {setting.split()[0] for setting in settings}
+        lines = [line for line in toy_config.read_text().splitlines()
+                 if line.split(" ")[0] not in keys] + settings
+        config = tmp_path / "bad.conf"
+        config.write_text("\n".join(lines) + "\n")
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["info", "--config", str(config)]
+        if command == "train":
+            argv = ["train", "--config", str(config),
+                    "--data", str(tmp_path / "manifest.tsv"), "--out", str(ckpt)]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {config}:{len(lines)}: {problem}\n"
         assert not ckpt.exists()
 
 
@@ -353,10 +405,15 @@ class TestUsage:
         def no_memory(cfg):
             raise MemoryError("Unable to allocate 7.45 TiB for an array")
 
+        data = tmp_path / "data"
+        assert cli.run(["synth", "--n", "2", "--seed", "3", "--outdir", str(data)]) == 0
         monkeypatch.setattr(cli, "MultiStageModel", no_memory)
-        assert cli.run(["info", "--config", str(toy_config)]) == 3
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.run(["train", "--config", str(toy_config),
+                        "--data", str(data / "manifest.tsv"), "--out", str(ckpt)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Unable to allocate" in err
+        assert not ckpt.exists()
 
     def test_no_command_exits_2(self):
         assert run_cli().returncode == 2

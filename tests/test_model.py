@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from stagemask import dsp
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
 from reference import (
-    constant_masks, margined_clean, randomize_params, ref_cascade_loss, zero_grads,
+    constant_masks, margined_clean, prefix_counts, randomize_params, ref_cascade_loss,
+    zero_grads,
 )
 
 TOY = ModelConfig(
@@ -331,26 +334,25 @@ class TestCounts:
     def test_sa_block_paper_geometry(self):
         cfg = ModelConfig(stages=1, hidden=8, bottleneck=4, stacks=1,
                           blocks_per_stack=1, fft_size=512, hop=256)
-        counts = MultiStageModel(cfg).count_parameters()
+        counts = cfg.parameter_counts()
         assert counts["sa_block"] == 198_919
         assert counts["sa_block"] == 3 * (257 * 257 + 257) + 1
 
     def test_tcn_blocks_large_geometry(self):
         cfg = ModelConfig(stages=1, hidden=256, bottleneck=128, stacks=3,
                           blocks_per_stack=8, fft_size=512, hop=256)
-        counts = MultiStageModel(cfg).count_parameters()
+        counts = cfg.parameter_counts()
         assert counts["tcn_blocks"] == 1_643_520
         assert counts["tcn_blocks"] == 24 * 68_480
 
     def test_five_stage_total_near_reported_size(self):
         cfg = ModelConfig(stages=5, hidden=256, bottleneck=128, stacks=3,
                           blocks_per_stack=8, fft_size=512, hop=256)
-        counts = MultiStageModel(cfg).count_parameters()
+        counts = cfg.parameter_counts()
         assert abs(counts["total"] - 9_910_000) / 9_910_000 < 0.25
 
     def test_breakdown_consistent(self):
-        model = MultiStageModel(TOY)
-        counts = model.count_parameters()
+        counts = TOY.parameter_counts()
         assert counts["per_stage"] == (
             counts["sa_block"] + counts["tcn_blocks"] + counts["stage_glue"]
         )
@@ -358,6 +360,20 @@ class TestCounts:
             TOY.stages * counts["per_stage"]
             + TOY.num_fusions * counts["fusion_block"]
         )
+
+    @pytest.mark.parametrize("cfg", [
+        TOY,
+        replace(TOY, stages=1),
+        replace(TOY, stages=2),
+        replace(TOY, stages=4),
+        replace(TOY, kernel=5),
+        ModelConfig(stages=3, hidden=8, bottleneck=4, stacks=1, blocks_per_stack=2,
+                    fft_size=32, hop=16),
+        ModelConfig(),
+    ], ids=["toy", "one-stage", "two-stage", "four-stage", "kernel-5", "fixture",
+            "paper"])
+    def test_closed_form_matches_built_store(self, cfg):
+        assert cfg.parameter_counts() == prefix_counts(MultiStageModel(cfg))
 
 
 class TestEnhance:

@@ -22,7 +22,6 @@ ALLOWED = {
     "audio.synth_toy_dataset(cfg)",
     "audio.synth_toy_dataset(seed)",
     "cli.run(argv)",
-    "nn.ParamStore.count(prefix)",
     "train.save_checkpoint(state)",
 }
 

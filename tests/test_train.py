@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -464,6 +465,61 @@ class TestCheckpoint:
                       "--in", str(FIXTURES / "toy_noisy.wav"),
                       "--out", str(tmp_path / "o.wav")])
         return rc, capsys.readouterr().err
+
+    @staticmethod
+    def _records(data):
+        """(offset, bytes) of each tensor record of a checkpoint."""
+        records, at = [], 52
+        for _ in range(struct.unpack_from("<i", data, 48)[0]):
+            name_len = struct.unpack_from("<i", data, at)[0]
+            rank = struct.unpack_from("<i", data, at + 4 + name_len)[0]
+            extents = struct.unpack_from(f"<{rank}i", data, at + 8 + name_len)
+            size = 8 + name_len + 4 * rank + 4 * math.prod(extents)
+            records.append((at, data[at : at + size]))
+            at += size
+        return records
+
+    def test_swapped_tensors_rejected_at_first_swapped(self, tmp_path):
+        data = (FIXTURES / "toy_satcn001.ckpt").read_bytes()
+        records = self._records(data)
+        (at, first), (_, second) = records[1], records[2]
+        bad = tmp_path / "swapped.ckpt"
+        bad.write_bytes(data[:at] + second + first + data[at + len(first + second):])
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(bad)
+        assert str(exc.value) == (
+            f"expected stage1.sa.wq.bias (17,), found stage1.sa.wk.weight (17, 17) "
+            f"(offset {at})"
+        )
+
+    def test_dropped_optimizer_tensor_rejected_at_tensor_count(self, tmp_path):
+        data = (FIXTURES / "toy_satcn001.ckpt").read_bytes()
+        at, last_v = self._records(data)[-2]
+        n_tensors = struct.unpack_from("<i", data, 48)[0]
+        bad = tmp_path / "dropped.ckpt"
+        bad.write_bytes(data[:48] + struct.pack("<i", n_tensors - 1) + data[52:at]
+                        + data[at + len(last_v):])
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(bad)
+        assert str(exc.value) == (
+            f"expected {n_tensors} tensors, found {n_tensors - 1} (offset 48)"
+        )
+
+    @pytest.mark.parametrize("seed", [-5, -(2**63)])
+    def test_negative_header_seed_exits_2_naming_file(self, tmp_path, capsys, seed):
+        data = bytearray((FIXTURES / "toy_satcn001.ckpt").read_bytes())
+        struct.pack_into("<q", data, 40, seed)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(data))
+        rc = cli.run(["enhance", "--ckpt", str(bad),
+                      "--in", str(FIXTURES / "toy_noisy.wav"),
+                      "--out", str(tmp_path / "o.wav")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid config: seed: must lie in "
+            f"[0, 9223372036854775807], got {seed} (offset 8)\n"
+        )
+        assert not (tmp_path / "o.wav").exists()
 
     def test_non_utf8_name_exits_2_at_its_offset(self, tmp_path, capsys):
         def patch(data, name_at, _):
