@@ -2,6 +2,7 @@
 
 from .dsp import (
     AnalysisWindow,
+    InputError,
     Waveform,
     hann_window,
     istft,
@@ -32,6 +33,7 @@ from .metrics import MetricReport, evaluate_set, si_sdr, snr_db
 
 __all__ = [
     "AnalysisWindow",
+    "InputError",
     "Waveform",
     "hann_window",
     "istft",

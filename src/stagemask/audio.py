@@ -4,37 +4,40 @@ Only mono PCM16 RIFF/WAVE files are handled.  Sample values map to [-1, 1]
 by 1/32768 in both directions, so data that originated as int16 round-trips
 bit-exactly; writing clamps to [-1, 1].  The toy corpus is a pure function of
 its item count, ``SynthConfig`` (length and sample rate) and seed; the rest
-of the generator is fixed by the module constants below.
+of the generator is fixed by the module constants below.  Bad input raises
+``InputError`` (``WavFormatError`` for WAV files), naming the file where
+there is one.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import InputError, Waveform, read_text, require_file
 
 _SCALE = 32768.0
 
 
-class WavFormatError(ValueError):
+class WavFormatError(InputError):
     """File is not the mono PCM16 flavour this toolkit reads."""
 
 
 def read_wav(path: str) -> Waveform:
+    require_file(path)
     try:
         with wave.open(str(path), "rb") as fh:
-            channels = fh.getnchannels()
-            width = fh.getsampwidth()
-            comp = fh.getcomptype()
-            rate = fh.getframerate()
-            frames = fh.readframes(fh.getnframes())
+            channels, width, rate, n_frames, comp, _ = fh.getparams()
+            # the file's size, not its header, bounds the read
+            cap = os.path.getsize(path) // (channels * width)
+            frames = fh.readframes(min(n_frames, cap))
     except wave.Error as exc:
         raise WavFormatError(f"{path}: malformed WAV container: {exc}") from exc
-    except EOFError as exc:
+    except (EOFError, RuntimeError) as exc:  # RuntimeError: a chunk past the end
         raise WavFormatError(f"{path}: truncated WAV header") from exc
     if comp != "NONE":
         raise WavFormatError(f"{path}: compressed WAV ({comp}) not supported")
@@ -44,6 +47,8 @@ def read_wav(path: str) -> Waveform:
         raise WavFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate <= 0:
         raise WavFormatError(f"{path}: sample rate must be positive, got {rate}")
+    if len(frames) % 2:
+        raise WavFormatError(f"{path}: truncated sample data ({len(frames)} bytes)")
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / _SCALE
     return Waveform(samples, rate)
 
@@ -65,24 +70,24 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     clean signal is tiled cyclically from its first sample.
     """
     if clean.sample_rate != noise.sample_rate:
-        raise ValueError(
+        raise InputError(
             f"sample rate mismatch: {clean.sample_rate} vs {noise.sample_rate}"
         )
     if not np.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
+        raise InputError(f"snr_db must be finite, got {snr_db}")
     n = len(clean)
     noise_seg = noise.samples
     if not noise_seg.size:
-        raise ValueError("noise signal is empty; SNR undefined")
+        raise InputError("noise signal is empty; SNR undefined")
     if len(noise_seg) < n:
         noise_seg = np.tile(noise_seg, -(-n // len(noise_seg)))
     noise_seg = noise_seg[:n]
     p_clean = float(np.mean(clean.samples ** 2))
     p_noise = float(np.mean(noise_seg ** 2))
     if p_clean == 0.0:
-        raise ValueError("clean signal is silent; SNR undefined")
+        raise InputError("clean signal is silent; SNR undefined")
     if p_noise == 0.0:
-        raise ValueError("noise signal is silent; SNR undefined")
+        raise InputError("noise signal is silent; SNR undefined")
     gain = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
     return Waveform(clean.samples + gain * noise_seg, clean.sample_rate)
 
@@ -126,7 +131,7 @@ def synth_toy_dataset(
     seed).
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     length = int(round(cfg.duration * cfg.sample_rate))
     t = np.arange(length) / cfg.sample_rate
@@ -166,25 +171,19 @@ def write_manifest(path: str, rows: list[tuple[str, str, float]]):
 
 
 def read_manifest(path: str) -> list[tuple[str, str, float]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
     rows = []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ValueError(
+            raise InputError(
                 f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
             )
         try:
             snr_db = float(parts[2])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad snr value {parts[2]!r}") from exc
+            raise InputError(f"{path}:{lineno}: bad snr value {parts[2]!r}") from exc
         rows.append((parts[0], parts[1], snr_db))
     return rows

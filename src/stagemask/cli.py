@@ -2,8 +2,9 @@
 
 Subcommands: info, synth, mix, train, enhance, eval, spec-dump.  Every
 command is a single deterministic batch run: identical inputs and seeds give
-byte-identical outputs.  Exit codes: 0 success, 2 usage/config/input error,
-3 runtime error.
+byte-identical outputs.  Exit codes: 0 success, 2 usage error or bad input
+(any ``InputError``, which every reader raises naming its file), 3 runtime
+error.
 """
 
 from __future__ import annotations
@@ -12,43 +13,16 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import audio, dsp, metrics
 from .blocks import receptive_field
-from .config import ConfigError, default_run_config, parse_config_file
+from .config import default_run_config, parse_config_file
+from .dsp import InputError
 from .model import MultiStageModel
-from .train import FormatError, TrainingDivergedError, fit, load_checkpoint
+from .train import TrainingDivergedError, fit, load_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-
-class InputError(Exception):
-    """Bad invocation, config, or input data detected before any work."""
-
-
-def _require_file(path: str, kind: str):
-    if not os.path.isfile(path):
-        raise InputError(f"{kind} not found: {path}")
-
-
-def _read_wav_checked(path: str, kind: str) -> dsp.Waveform:
-    _require_file(path, kind)
-    try:
-        return audio.read_wav(path)
-    except audio.WavFormatError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _load_checkpoint_checked(path: str) -> MultiStageModel:
-    _require_file(path, "checkpoint")
-    try:
-        model, _ = load_checkpoint(path)
-    except FormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    return model
 
 
 def _load_pairs(manifest_path: str, fft_size: int, scored: bool):
@@ -58,20 +32,16 @@ def _load_pairs(manifest_path: str, fft_size: int, scored: bool):
     ``fft_size`` samples, and a ``scored`` clean reference must not be
     silent; otherwise InputError names the item and both files.
     """
-    _require_file(manifest_path, "manifest")
-    try:
-        rows = audio.read_manifest(manifest_path)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rows = audio.read_manifest(manifest_path)
     if not rows:
-        raise InputError(f"manifest is empty: {manifest_path}")
+        raise InputError(f"{manifest_path}: manifest is empty")
     base = os.path.dirname(os.path.abspath(manifest_path))
     pairs = []
     for item, (clean_path, noisy_path, _) in enumerate(rows, start=1):
         clean_path = os.path.join(base, clean_path)
         noisy_path = os.path.join(base, noisy_path)
-        clean = _read_wav_checked(clean_path, "clean wav")
-        noisy = _read_wav_checked(noisy_path, "noisy wav")
+        clean = audio.read_wav(clean_path)
+        noisy = audio.read_wav(noisy_path)
         rate = pairs[0][0].sample_rate if pairs else noisy.sample_rate
         if {noisy.sample_rate, clean.sample_rate} != {rate}:
             problem = (f"sample rates {noisy.sample_rate} Hz (noisy) and "
@@ -117,10 +87,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
-    os.makedirs(args.outdir, exist_ok=True)
     items = audio.synth_toy_dataset(args.n, seed=args.seed)
+    os.makedirs(args.outdir, exist_ok=True)
     rows = []
     for i, item in enumerate(items):
         clean_name = f"clean_{i:03d}.wav"
@@ -133,12 +101,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    clean = _read_wav_checked(args.clean, "clean wav")
-    noise = _read_wav_checked(args.noise, "noise wav")
-    try:
-        noisy = audio.mix_at_snr(clean, noise, args.snr)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    clean = audio.read_wav(args.clean)
+    noise = audio.read_wav(args.noise)
+    noisy = audio.mix_at_snr(clean, noise, args.snr)
     audio.write_wav(args.out, noisy)
     return EXIT_OK
 
@@ -160,19 +125,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    model = _load_checkpoint_checked(args.ckpt)
-    wav = _read_wav_checked(args.infile, "input wav")
-    if len(wav) < model.config.fft_size:
-        raise InputError(
-            f"input is shorter ({len(wav)}) than one frame ({model.config.fft_size})"
-        )
-    enhanced, _ = model.enhance(wav)
+    model, _ = load_checkpoint(args.ckpt)
+    enhanced, _ = model.enhance(audio.read_wav(args.infile))
     audio.write_wav(args.out, enhanced)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    model = _load_checkpoint_checked(args.ckpt)
+    model, _ = load_checkpoint(args.ckpt)
     pairs = _load_pairs(args.manifest, model.config.fft_size, scored=True)
     report = metrics.evaluate_set(model, pairs)
     print(report.to_tsv())
@@ -181,16 +141,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_spec_dump(args) -> int:
-    wav = _read_wav_checked(args.infile, "input wav")
+    wav = audio.read_wav(args.infile)
     cfg = (
         parse_config_file(args.config).model
         if args.config
         else default_run_config().model
     )
-    if len(wav) < cfg.fft_size:
-        raise InputError(
-            f"input is shorter ({len(wav)}) than one frame ({cfg.fft_size})"
-        )
     win = dsp.hann_window(cfg.fft_size, cfg.hop)
     mag, _ = dsp.stft(wav.samples, win)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -256,7 +212,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDivergedError, ValueError, OSError) as exc:

@@ -1,8 +1,9 @@
 """Plain-text run configuration: `key = value` lines, `#` comment lines.
 
 Unknown keys are rejected with the offending line number, and every value is
-validated before any work starts; a rejected value is reported as
-``<path>:<line>: <key>: <problem>`` under the key as the file spells it.
+validated before any work starts.  A bad file raises ``InputError`` naming
+it; a rejected value is reported as ``<path>:<line>: <key>: <problem>``
+under the key as the file spells it.
 Missing keys fall back to the dataclass defaults of ``ModelConfig`` (the
 paper geometry) and ``TrainConfig`` (the standard recipe), which are the only
 copies of them.
@@ -11,15 +12,11 @@ copies of them.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
 
+from .dsp import InputError, read_text
 from .model import FieldError, ModelConfig
 from .train import TrainConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # file key -> (dataclass field, type)
@@ -56,14 +53,7 @@ class RunConfig:
 
 
 def parse_config_file(path: str) -> RunConfig:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
+    text = read_text(path)
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -71,23 +61,23 @@ def parse_config_file(path: str) -> RunConfig:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+            raise InputError(f"{path}:{lineno}: expected `key = value`")
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _MODEL_KEYS and key not in _TRAIN_KEYS and key not in _PATH_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
-            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
+            raise InputError(f"{path}:{lineno}: empty value for {key!r}")
         raw[key], lines[key] = value, lineno
 
     def typed(key, caster):
         try:
             return caster(raw[key])
         except ValueError as exc:
-            raise ConfigError(
+            raise InputError(
                 f"{path}:{lines[key]}: {key}: bad value {raw[key]!r}"
             ) from exc
 
@@ -96,7 +86,7 @@ def parse_config_file(path: str) -> RunConfig:
             return cls(**{f: typed(k, c) for k, (f, c) in keys.items() if k in raw})
         except FieldError as exc:
             key = next(k for k, (f, _) in keys.items() if f in exc.fields and k in raw)
-            raise ConfigError(f"{path}:{lines[key]}: {key}: {exc.problem}") from exc
+            raise InputError(f"{path}:{lines[key]}: {key}: {exc.problem}") from exc
 
     return RunConfig(
         build(ModelConfig, _MODEL_KEYS), build(TrainConfig, _TRAIN_KEYS),

@@ -9,14 +9,39 @@ final partial frame is complete.  Synthesis applies the analysis window a
 second time and divides by the accumulated per-sample sum of squared window
 values, which makes the round trip exact wherever the window coverage is
 non-degenerate, for any window/hop combination.
+
+``InputError`` is the one type for bad input from outside the program; every
+reader raises it naming its file, and the CLI maps it to exit code 2.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class InputError(ValueError):
+    """A file, manifest row or argument from outside the program is unusable."""
+
+
+def require_file(path: str):
+    if not os.path.isfile(path):
+        raise InputError(f"{path}: file not found")
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of an input file."""
+    require_file(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
+
 
 # Per-sample floor for the overlap-add normalization denominator.
 _DENOM_FLOOR = 1e-8
@@ -90,7 +115,7 @@ def frame_count(n_samples: int, win: AnalysisWindow) -> int:
     """Number of analysis frames for a signal, tail padding included."""
     n = len(win)
     if n_samples < n:
-        raise ValueError(f"signal length {n_samples} is shorter than one frame ({n})")
+        raise InputError(f"signal length {n_samples} is shorter than one frame ({n})")
     return 1 + math.ceil((n_samples - n) / win.hop)
 
 

@@ -48,7 +48,8 @@ class ModelConfig:
     The defaults are the paper geometry, and the only model defaults: config
     files and the CLI fall back to them.  Every field but the seed is an
     int32 in the checkpoint header, the seed an int64, and the receptive
-    field must fit in an int32 too.
+    field must fit in an int32 too.  ``hop`` is at most, and by default,
+    ``fft_size // 2``, so every sample lies in at least two frames.
     """
 
     stages: int = 5
@@ -58,10 +59,12 @@ class ModelConfig:
     blocks_per_stack: int = 8
     kernel: int = 3
     fft_size: int = 512
-    hop: int = 256
+    hop: int | None = None
     seed: int = 0
 
     def __post_init__(self):
+        if self.hop is None:
+            object.__setattr__(self, "hop", max(1, self.fft_size // 2))
         # 31 blocks keep the last dilation, 2**30, in int32, and bound
         # blocks_per_stack before receptive_field evaluates 2**blocks_per_stack
         highs = {"blocks_per_stack": 31, "seed": 2**63 - 1}
@@ -75,6 +78,9 @@ class ModelConfig:
             raise FieldError(("kernel",), f"must be odd, got {self.kernel}")
         if self.fft_size < 4 or self.fft_size % 2 != 0:
             raise FieldError(("fft_size",), f"must be even and >= 4, got {self.fft_size}")
+        if self.hop > self.fft_size // 2:
+            raise FieldError(("hop", "fft_size"),
+                             f"hop {self.hop} exceeds fft_size // 2 = {self.fft_size // 2}")
         rf = receptive_field(self.kernel, self.blocks_per_stack)
         if rf > INT32_MAX:
             raise FieldError(("blocks_per_stack", "kernel"),
@@ -236,7 +242,7 @@ class MultiStageModel:
         overlap-add division is ill-conditioned for masked spectra where the
         window barely reaches."""
         if len(x) < self.config.fft_size:
-            raise ValueError(
+            raise dsp.InputError(
                 f"input length {len(x)} is shorter than one frame "
                 f"({self.config.fft_size})"
             )

@@ -5,7 +5,8 @@ magnitudes (see ``model``), with gradients scaled by 1/batch, which makes the
 batch objective exactly the mean of per-item losses.  Each padded item is
 trimmed back to its own frame count before packing, so padding can never leak
 into losses or statistics.  Adam updates the store's flat parameter vector
-with a few whole-vector operations.
+with a few whole-vector operations.  A bad checkpoint file raises
+``FormatError``, an ``InputError`` naming the file and the problem's offset.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .nn import Array, ParamStore
 CHECKPOINT_MAGIC = b"SATCN001"
 
 
-class FormatError(ValueError):
+class FormatError(dsp.InputError):
     """Malformed checkpoint file; carries the byte offset of the problem."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
+    def __init__(self, path: str, problem: str, offset: int):
+        super().__init__(f"{path}: {problem} (offset {offset})")
         self.offset = offset
 
 
@@ -283,16 +284,15 @@ def save_checkpoint(
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, path: str, data: bytes):
+        self.path = path
         self.data = data
         self.offset = 0
 
     def take(self, n: int) -> bytes:
         if self.offset + n > len(self.data):
-            raise FormatError(
-                f"truncated: needed {n} bytes, had {len(self.data) - self.offset}",
-                self.offset,
-            )
+            raise FormatError(self.path, f"truncated: needed {n} bytes, had "
+                              f"{len(self.data) - self.offset}", self.offset)
         out = self.data[self.offset : self.offset + n]
         self.offset += n
         return out
@@ -311,59 +311,64 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
     header's config, in that order, with matching shapes and finite values,
     and nothing after the last one.
     """
+    dsp.require_file(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    r = _Reader(data)
+    r = _Reader(path, data)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise FormatError("bad magic", 0)
+        raise FormatError(path, "bad magic", 0)
     fields = dict(zip(_HEADER_FIELDS, struct.unpack("<8i", r.take(32))))
     seed = r.i8()
     try:
         config = ModelConfig(**fields, seed=seed)
     except ValueError as exc:
-        raise FormatError(f"invalid config: {exc}", len(CHECKPOINT_MAGIC)) from exc
+        raise FormatError(
+            path, f"invalid config: {exc}", len(CHECKPOINT_MAGIC)
+        ) from exc
     count_at = r.offset
     n_tensors = r.i4()
     if n_tensors < 0:
-        raise FormatError(f"negative tensor count {n_tensors}", count_at)
+        raise FormatError(path, f"negative tensor count {n_tensors}", count_at)
     table = []  # (offset, name, float32 view of the file)
     for _ in range(n_tensors):
         at = r.offset
         name_len = r.i4()
         if name_len <= 0:
-            raise FormatError(f"bad name length {name_len}", at)
+            raise FormatError(path, f"bad name length {name_len}", at)
         try:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
-                "tensor name is not UTF-8", r.offset - name_len + exc.start
+                path, "tensor name is not UTF-8", r.offset - name_len + exc.start
             ) from exc
         rank = r.i4()
         if rank < 0:
-            raise FormatError(f"bad rank {rank} for {name}", r.offset - 4)
+            raise FormatError(path, f"bad rank {rank} for {name}", r.offset - 4)
         extents_at = r.offset
         extents = struct.unpack(f"<{rank}i", r.take(4 * rank))
         for j, extent in enumerate(extents):
             if extent < 0:
                 raise FormatError(
-                    f"negative extent {extent} for {name}", extents_at + 4 * j
+                    path, f"negative extent {extent} for {name}", extents_at + 4 * j
                 )
         count = math.prod(extents)
         values = np.frombuffer(r.take(4 * count), dtype="<f4")
         if not np.isfinite(values).all():
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             at_bad = r.offset - 4 * (count - bad)
-            raise FormatError(f"non-finite value {values[bad]} in {name}", at_bad)
+            raise FormatError(
+                path, f"non-finite value {values[bad]} in {name}", at_bad
+            )
         table.append((at, name, values.reshape(extents)))
     end = len(data)
     if r.offset != end:
-        raise FormatError(f"{end - r.offset} trailing bytes", r.offset)
+        raise FormatError(path, f"{end - r.offset} trailing bytes", r.offset)
     # the header alone must not size an allocation: check it against the table
     floats = sum(v.size for _, name, v in table if not name.startswith("adam."))
     if floats != config.state_floats:
         raise FormatError(
-            f"tensors hold {floats} model values, the header's config needs "
-            f"{config.state_floats}", end,
+            path, f"tensors hold {floats} model values, the header's config "
+            f"needs {config.state_floats}", end,
         )
     model = MultiStageModel(config)
     n_model = len(model.store.params()) + len(model.store.buffers())
@@ -371,18 +376,20 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
     state = AdamState(model.store) if n_tensors > n_model else None
     layout = list(_tensors(model, state))
     if n_tensors != len(layout):
-        raise FormatError(f"expected {len(layout)} tensors, found {n_tensors}", count_at)
+        raise FormatError(
+            path, f"expected {len(layout)} tensors, found {n_tensors}", count_at
+        )
     for (at, name, values), (want, dest) in zip(table, layout):
         if name != want or values.shape != dest.shape:
             raise FormatError(
-                f"expected {want} {dest.shape}, found {name} {values.shape}", at
+                path, f"expected {want} {dest.shape}, found {name} {values.shape}", at
             )
         dest[...] = values  # the one float32 -> float64 copy
     if state is not None:  # the last tensor, adam.step, is now filled in
         step = layout[-1][1][0]
         if step < 0 or not step.is_integer():
             raise FormatError(
-                f"adam.step must hold one non-negative integer, got {step}",
+                path, f"adam.step must hold one non-negative integer, got {step}",
                 table[-1][0],
             )
         state.step = int(step)

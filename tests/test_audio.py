@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -90,6 +92,47 @@ class TestWavIO:
         rc = cli.run(["spec-dump", "--in", str(path), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert str(path) in capsys.readouterr().err
+
+    @staticmethod
+    def _chunk_past_end(path):
+        # RIFF, WAVE, then an unknown chunk id whose size runs past the end
+        path.write_bytes(bytes.fromhex(
+            "52494646641fc70057415645fc6d74201000ff00"
+            "01000100401f0000803e000002001000"
+        ))
+
+    @staticmethod
+    def _odd_data_length(path):
+        write_wav(path, synth_toy_dataset(1)[0].noisy)
+        path.write_bytes(path.read_bytes()[:-1])  # half a sample at the end
+
+    @pytest.mark.parametrize("case", ["chunk-past-end", "odd-data-length"])
+    def test_malformed_wav_exits_2_naming_file(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.wav"
+        {"chunk-past-end": self._chunk_past_end,
+         "odd-data-length": self._odd_data_length}[case](path)
+        with pytest.raises(WavFormatError, match="truncated") as exc:
+            read_wav(path)
+        rc = cli.run(["spec-dump", "--in", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_header_sizes_do_not_size_the_read(self, tmp_path):
+        path = tmp_path / "claims-4gb.wav"
+        write_wav(path, dsp.Waveform(np.full(5, 0.5), 8000))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 4, 0xFFFFFFF0)  # the RIFF chunk's size
+        struct.pack_into("<I", data, 40, 0xFFFFFFF0)  # the data chunk's size
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            samples = read_wav(path).samples
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        np.testing.assert_array_equal(samples, 0.5)
 
 
 class TestMixAtSnr:

@@ -1,14 +1,20 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stagemask import cli, dsp
-from stagemask.audio import read_wav, write_manifest, write_wav
+from stagemask.audio import (
+    mix_at_snr, read_manifest, read_wav, synth_toy_dataset, write_manifest, write_wav,
+)
 from stagemask.config import default_run_config, parse_config_file
+from stagemask.dsp import InputError
 from stagemask.model import MultiStageModel
-from stagemask.train import save_checkpoint
+from stagemask.train import load_checkpoint, save_checkpoint
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(*args, cwd=None):
@@ -95,9 +101,16 @@ class TestInfo:
         assert result.returncode == 2
         assert f"{cfg}: not UTF-8 at byte offset 11" in result.stderr
 
-    def test_missing_config_exits_2(self, tmp_path):
-        result = run_cli("info", "--config", tmp_path / "nope.conf")
-        assert result.returncode == 2
+    def test_hop_is_half_a_frame_by_default_and_at_most(self, tmp_path, capsys):
+        config = tmp_path / "hop.conf"
+        config.write_text("fft_size = 64\n")
+        assert cli.run(["info", "--config", str(config)]) == 0
+        assert parse_kv(capsys.readouterr().out)["hop"] == "32"
+        config.write_text("# the default fft_size, 512\nhop = 257\n")
+        assert cli.run(["info", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}:2: hop: hop 257 exceeds fft_size // 2 = 256\n"
+        )
 
     def test_builds_no_model(self, tmp_path, monkeypatch, capsys):
         def no_model(cfg):
@@ -159,15 +172,6 @@ class TestMix:
         assert result.returncode == 2
         assert not out.exists()
 
-    def test_empty_noise_exits_2(self, tmp_path, capsys):
-        clean_path, _ = self._write_inputs(tmp_path)
-        empty = tmp_path / "empty.wav"
-        write_wav(empty, dsp.Waveform(np.zeros(0), 8000))
-        rc = cli.run(["mix", "--clean", str(clean_path), "--noise", str(empty),
-                      "--snr", "0", "--out", str(tmp_path / "noisy.wav")])
-        assert rc == 2
-        assert "noise signal is empty" in capsys.readouterr().err
-
 
 class TestSpecDump:
     def test_zero_wav_dumps_zero_matrix(self, tmp_path):
@@ -202,12 +206,6 @@ class TestSpecDump:
         a = np.loadtxt(csv1, delimiter=",")
         b = np.loadtxt(csv2, delimiter=",")
         assert np.abs(a - b).max() < 1e-5
-
-    def test_unreadable_input_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.wav"
-        bad.write_bytes(b"junk")
-        result = run_cli("spec-dump", "--in", bad, "--out", tmp_path / "o.csv")
-        assert result.returncode == 2
 
 
 class TestTrainEnhanceEval:
@@ -252,20 +250,6 @@ class TestTrainEnhanceEval:
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         result = run_cli("eval", "--ckpt", ckpt, "--manifest", empty)
-        assert result.returncode == 2
-
-    def test_enhance_bad_checkpoint_exits_2(self, tmp_path, dataset):
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"garbage")
-        result = run_cli("enhance", "--ckpt", bad,
-                         "--in", dataset / "noisy_000.wav",
-                         "--out", tmp_path / "o.wav")
-        assert result.returncode == 2
-
-    def test_train_missing_manifest_exits_2(self, tmp_path, toy_config):
-        result = run_cli("train", "--config", toy_config,
-                         "--data", tmp_path / "none.tsv",
-                         "--out", tmp_path / "m.ckpt")
         assert result.returncode == 2
 
 
@@ -375,6 +359,8 @@ class TestConfigValueErrors:
                        "seed: must lie in [0, 9223372036854775807], "
                        "got 9223372036854775808"),
         "train_seed": (["train_seed = -1"], "train_seed: must be >= 0, got -1"),
+        "hop-above-half-frame": (["hop = 48", "fft_size = 64"],
+                                 "fft_size: hop 48 exceeds fft_size // 2 = 32"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -397,6 +383,66 @@ class TestConfigValueErrors:
         assert out == ""
         assert err == f"error: {config}:{len(lines)}: {problem}\n"
         assert not ckpt.exists()
+
+
+class TestBadInput:
+    """Each reader rejects a missing or malformed file with exit 2 and the
+    error its own call raises, which names the file; the library's checks
+    on other input exit 2 with the library's message.  Neither makes output."""
+
+    READERS = {  # reader -> (library call, command that reads the file with it)
+        "wav": (read_wav, lambda f, tmp, conf: [
+            "spec-dump", "--in", f, "--out", tmp / "o.csv"]),
+        "manifest": (read_manifest, lambda f, tmp, conf: [
+            "train", "--config", conf, "--data", f, "--out", tmp / "m.ckpt"]),
+        "checkpoint": (load_checkpoint, lambda f, tmp, conf: [
+            "enhance", "--ckpt", f, "--in", FIXTURES / "toy_noisy.wav",
+            "--out", tmp / "o.wav"]),
+        "config": (parse_config_file, lambda f, tmp, conf: ["info", "--config", f]),
+    }
+
+    @staticmethod
+    def _exits_2(argv, call, tmp_path, capsys):
+        with pytest.raises(InputError) as exc:
+            call()
+        before = sorted(tmp_path.iterdir())
+        assert cli.run([str(a) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        assert sorted(tmp_path.iterdir()) == before
+        return str(exc.value)
+
+    @pytest.mark.parametrize("state", ["missing", "malformed"])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_bad_file_exits_2_naming_it(self, reader, state, tmp_path, toy_config,
+                                        capsys):
+        path = tmp_path / f"{state}.{reader}"
+        if state == "malformed":
+            path.write_bytes(b"junk\n")  # one field, no `=`, no RIFF or magic
+        call, argv = self.READERS[reader]
+        message = self._exits_2(argv(path, tmp_path, toy_config),
+                                lambda: call(str(path)), tmp_path, capsys)
+        assert message.startswith(f"{path}:")
+
+    @pytest.mark.parametrize("case", ["synth-n-0", "mix-empty-noise",
+                                      "enhance-short-input"])
+    def test_library_check_exits_2_with_its_message(self, case, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        write_wav(short, dsp.Waveform(0.1 * np.ones(20), 8000))
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, dsp.Waveform(np.zeros(0), 8000))
+        ckpt = FIXTURES / "toy_satcn001.ckpt"
+        argv, call = {
+            "synth-n-0": (["synth", "--n", 0, "--outdir", tmp_path / "out"],
+                          lambda: synth_toy_dataset(0)),
+            "mix-empty-noise": (
+                ["mix", "--clean", short, "--noise", empty, "--snr", 0,
+                 "--out", tmp_path / "o.wav"],
+                lambda: mix_at_snr(read_wav(short), read_wav(empty), 0.0)),
+            "enhance-short-input": (
+                ["enhance", "--ckpt", ckpt, "--in", short, "--out", tmp_path / "o.wav"],
+                lambda: load_checkpoint(ckpt)[0].enhance(read_wav(short))),
+        }[case]
+        self._exits_2(argv, call, tmp_path, capsys)
 
 
 class TestUsage:

@@ -488,8 +488,8 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             load_checkpoint(bad)
         assert str(exc.value) == (
-            f"expected stage1.sa.wq.bias (17,), found stage1.sa.wk.weight (17, 17) "
-            f"(offset {at})"
+            f"{bad}: expected stage1.sa.wq.bias (17,), found stage1.sa.wk.weight "
+            f"(17, 17) (offset {at})"
         )
 
     def test_dropped_optimizer_tensor_rejected_at_tensor_count(self, tmp_path):
@@ -502,7 +502,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             load_checkpoint(bad)
         assert str(exc.value) == (
-            f"expected {n_tensors} tensors, found {n_tensors - 1} (offset 48)"
+            f"{bad}: expected {n_tensors} tensors, found {n_tensors - 1} (offset 48)"
         )
 
     @pytest.mark.parametrize("seed", [-5, -(2**63)])
@@ -520,6 +520,20 @@ class TestCheckpoint:
             f"[0, 9223372036854775807], got {seed} (offset 8)\n"
         )
         assert not (tmp_path / "o.wav").exists()
+
+    def test_header_hop_above_half_frame_exits_2(self, tmp_path, capsys):
+        data = bytearray((FIXTURES / "toy_satcn001.ckpt").read_bytes())
+        struct.pack_into("<i", data, 8 + 4 * 7, 17)  # hop; the fixture's fft_size is 32
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(data))
+        rc = cli.run(["enhance", "--ckpt", str(bad),
+                      "--in", str(FIXTURES / "toy_noisy.wav"),
+                      "--out", str(tmp_path / "o.wav")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid config: hop/fft_size: hop 17 exceeds "
+            f"fft_size // 2 = 16 (offset 8)\n"
+        )
 
     def test_non_utf8_name_exits_2_at_its_offset(self, tmp_path, capsys):
         def patch(data, name_at, _):
