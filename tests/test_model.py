@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,20 @@ class TestBuild:
         model = MultiStageModel(TOY)
         for stage in model.stages:
             assert np.all(stage.sa.delta.value == 0.0)
+
+    @pytest.mark.parametrize("config, digest", [
+        (ModelConfig(stages=3, hidden=32, bottleneck=16, stacks=2, blocks_per_stack=4,
+                     kernel=3, fft_size=128, hop=64, seed=11),
+         "1b8471c3b858b714ef071a71a063b22dcc22dd649b58fe6d38db8c9eee61d4de"),
+        (ModelConfig(),
+         "8cf4251d6ad8b7db0131a2d98e7ca86df764d912b1b862ec9d0975855c921820"),
+    ], ids=["acceptance-toy", "paper"])
+    def test_fresh_parameters_pinned(self, config, digest):
+        # the init draws keep their order: float64 parameter bytes in store order
+        h = hashlib.sha256()
+        for _, p in MultiStageModel(config).store.params():
+            h.update(p.value.tobytes())
+        assert h.hexdigest() == digest
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
