@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import InputError, Waveform, read_text, require_file
+from .dsp import InputError, Waveform, read_text, replacing, require_file
 
 _SCALE = 32768.0
 
@@ -56,7 +56,7 @@ def read_wav(path: str) -> Waveform:
 def write_wav(path: str, wf: Waveform):
     """Write mono PCM16; amplitudes are clamped to [-1, 1]."""
     q = np.clip(np.round(np.clip(wf.samples, -1.0, 1.0) * _SCALE), -32768, 32767)
-    with wave.open(str(path), "wb") as fh:
+    with replacing(path, fsync=False) as out, wave.open(out, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(wf.sample_rate)
@@ -165,9 +165,9 @@ def synth_toy_dataset(
 # -- dataset manifest: clean_path<TAB>noisy_path<TAB>snr_db -------------------
 
 def write_manifest(path: str, rows: list[tuple[str, str, float]]):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, fsync=False) as fh:
         for clean_path, noisy_path, snr_db in rows:
-            fh.write(f"{clean_path}\t{noisy_path}\t{snr_db!r}\n")
+            fh.write(f"{clean_path}\t{noisy_path}\t{snr_db!r}\n".encode("utf-8"))
 
 
 def read_manifest(path: str) -> list[tuple[str, str, float]]:

@@ -1,8 +1,9 @@
 """Architecture units: attention block, dilated residual blocks, stage, fusion.
 
-Each unit registers its parameters in a shared ParamStore under a dotted name
-prefix.  A mini-batch is packed: one (C, sum T_i) array holding the items side
-by side along time, plus ``bounds`` = (0, T_1, T_1 + T_2, ..., sum T_i).
+Each unit registers its parameters, constant or uniform, in a shared
+ParamStore under a dotted name prefix; the owner draws the uniform ones.
+A mini-batch is packed: one (C, sum T_i) array holding the items side by
+side along time, plus ``bounds`` = (0, T_1, T_1 + T_2, ..., sum T_i).
 Pointwise convolutions, PReLU, batch normalization and the sigmoid run once
 over the packed array; batch normalization in train mode therefore takes its
 statistics over batch x time per channel.  The dilated depthwise convolution
@@ -36,40 +37,33 @@ def receptive_field(kernel: int, blocks_per_stack: int) -> int:
     return 1 + (kernel - 1) * (2 ** blocks_per_stack - 1)
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
-    a = math.sqrt(1.0 / fan_in)
-    return rng.uniform(-a, a, size=shape)
-
-
 class Conv1x1:
     """Pointwise channel-mixing convolution with bias."""
 
-    def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int, rng):
-        self.weight = store.register(
-            f"{name}.weight", _uniform_init(rng, (c_out, c_in), c_in)
-        )
-        self.bias = store.register(f"{name}.bias", np.zeros(c_out))
+    def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int):
+        self.weight = store.uniform(f"{name}.weight", (c_out, c_in), c_in)
+        self.bias = store.constant(f"{name}.bias", (c_out,), 0.0)
 
     def forward(self, x: Array) -> Array:
         return nn.pointwise_conv(x, self.weight.value, self.bias.value)
 
     def backward(self, dy: Array, x: Array) -> Array:
         dx, dw, db = nn.pointwise_conv_backward(dy, x, self.weight.value)
-        self.weight.grad += dw
-        self.bias.grad += db
+        self.weight.grad[...] += dw
+        self.bias.grad[...] += db
         return dx
 
 
 class PReLULayer:
     def __init__(self, store: ParamStore, name: str, channels: int):
-        self.slope = store.register(f"{name}.slope", np.full(channels, 0.25))
+        self.slope = store.constant(f"{name}.slope", (channels,), 0.25)
 
     def forward(self, x: Array) -> Array:
         return nn.prelu(x, self.slope.value)
 
     def backward(self, dy: Array, x: Array) -> Array:
         dx, dslope = nn.prelu_backward(dy, x, self.slope.value)
-        self.slope.grad += dslope
+        self.slope.grad[...] += dslope
         return dx
 
 
@@ -82,8 +76,8 @@ class BatchNormLayer:
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int):
-        self.gamma = store.register(f"{name}.gamma", np.ones(channels))
-        self.beta = store.register(f"{name}.beta", np.zeros(channels))
+        self.gamma = store.constant(f"{name}.gamma", (channels,), 1.0)
+        self.beta = store.constant(f"{name}.beta", (channels,), 0.0)
         self.state = nn.BatchNormState(
             store.register_buffer(f"{name}.running_mean", np.zeros(channels)),
             store.register_buffer(f"{name}.running_var", np.ones(channels)),
@@ -97,8 +91,8 @@ class BatchNormLayer:
 
     def backward(self, dy: Array, saved) -> Array:
         dx, dgamma, dbeta = nn.batch_norm_backward(dy, *saved, self.gamma.value)
-        self.gamma.grad += dgamma
-        self.beta.grad += dbeta
+        self.gamma.grad[...] += dgamma
+        self.beta.grad[...] += dbeta
         return dx
 
 
@@ -106,8 +100,8 @@ class GlobalNormLayer:
     """Global layer normalization, per item, with per-row affine parameters."""
 
     def __init__(self, store: ParamStore, name: str, rows: int):
-        self.gamma = store.register(f"{name}.gamma", np.ones((rows, 1)))
-        self.beta = store.register(f"{name}.beta", np.zeros((rows, 1)))
+        self.gamma = store.constant(f"{name}.gamma", (rows, 1), 1.0)
+        self.beta = store.constant(f"{name}.beta", (rows, 1), 0.0)
 
     def forward(self, x: Array, bounds):
         y, *saved = nn.global_layer_norm(x, self.gamma.value, self.beta.value, bounds)
@@ -117,8 +111,8 @@ class GlobalNormLayer:
         dx, dgamma, dbeta = nn.global_layer_norm_backward(
             dy, *saved, self.gamma.value, bounds
         )
-        self.gamma.grad += dgamma
-        self.beta.grad += dbeta
+        self.gamma.grad[...] += dgamma
+        self.beta.grad[...] += dbeta
         return dx
 
 
@@ -133,11 +127,11 @@ class SABlock:
     matrices sit side by side for one column softmax.
     """
 
-    def __init__(self, store: ParamStore, name: str, f: int, rng):
-        self.wq = Conv1x1(store, f"{name}.wq", f, f, rng)
-        self.wk = Conv1x1(store, f"{name}.wk", f, f, rng)
-        self.wv = Conv1x1(store, f"{name}.wv", f, f, rng)
-        self.delta = store.register(f"{name}.delta", np.zeros(1))
+    def __init__(self, store: ParamStore, name: str, f: int):
+        self.wq = Conv1x1(store, f"{name}.wq", f, f)
+        self.wk = Conv1x1(store, f"{name}.wk", f, f)
+        self.wv = Conv1x1(store, f"{name}.wv", f, f)
+        self.delta = store.constant(f"{name}.delta", (1,), 0.0)
 
     def forward(self, x: Array, bounds, *, train: bool):
         q = self.wq.forward(x)
@@ -161,7 +155,7 @@ class SABlock:
         f = x.shape[0]
         scale = 1.0 / math.sqrt(f)
         items = nn.segments(bounds, x.shape[1])
-        self.delta.grad += (dy * a).sum()
+        self.delta.grad[...] += (dy * a).sum()
         da = self.delta.value[0] * dy
         dwhat = np.empty_like(what)
         dq, dk, dv = np.empty_like(x), np.empty_like(x), np.empty_like(x)
@@ -184,20 +178,19 @@ class TCNBlock:
     """Residual unit: 1x1 in, PReLU, BN, dilated depthwise, PReLU, BN, 1x1 out."""
 
     def __init__(self, store: ParamStore, name: str, width_in: int,
-                 width_hidden: int, kernel: int, dilation: int, rng):
+                 width_hidden: int, kernel: int, dilation: int):
         if kernel % 2 == 0:
             raise ValueError(f"kernel size must be odd, got {kernel}")
         self.dilation = dilation
-        self.in_conv = Conv1x1(store, f"{name}.in_conv", width_in, width_hidden, rng)
+        self.in_conv = Conv1x1(store, f"{name}.in_conv", width_in, width_hidden)
         self.prelu1 = PReLULayer(store, f"{name}.prelu1", width_hidden)
         self.bn1 = BatchNormLayer(store, f"{name}.bn1", width_hidden)
-        self.dkernel = store.register(
-            f"{name}.dconv.kernel", _uniform_init(rng, (width_hidden, kernel), kernel)
-        )
-        self.dbias = store.register(f"{name}.dconv.bias", np.zeros(width_hidden))
+        self.dkernel = store.uniform(f"{name}.dconv.kernel", (width_hidden, kernel),
+                                     kernel)
+        self.dbias = store.constant(f"{name}.dconv.bias", (width_hidden,), 0.0)
         self.prelu2 = PReLULayer(store, f"{name}.prelu2", width_hidden)
         self.bn2 = BatchNormLayer(store, f"{name}.bn2", width_hidden)
-        self.out_conv = Conv1x1(store, f"{name}.out_conv", width_hidden, width_in, rng)
+        self.out_conv = Conv1x1(store, f"{name}.out_conv", width_hidden, width_in)
 
     def forward(self, x: Array, bounds, *, train: bool):
         h0 = self.in_conv.forward(x)
@@ -219,8 +212,8 @@ class TCNBlock:
         dh2, dk, db = nn.depthwise_dconv_backward(
             dh3, h2, self.dkernel.value, self.dilation, bounds
         )
-        self.dkernel.grad += dk
-        self.dbias.grad += db
+        self.dkernel.grad[...] += dk
+        self.dbias.grad[...] += db
         dh1 = self.bn1.backward(dh2, bn1)
         dh0 = self.prelu1.backward(dh1, h0)
         return dy + self.in_conv.backward(dh0, x)
@@ -235,16 +228,16 @@ class Stage:
     """
 
     def __init__(self, store: ParamStore, name: str, f: int, bottleneck: int,
-                 hidden: int, kernel: int, stacks: int, blocks_per_stack: int, rng):
-        self.sa = SABlock(store, f"{name}.sa", f, rng)
-        self.bottleneck = Conv1x1(store, f"{name}.bottleneck", f, bottleneck, rng)
+                 hidden: int, kernel: int, stacks: int, blocks_per_stack: int):
+        self.sa = SABlock(store, f"{name}.sa", f)
+        self.bottleneck = Conv1x1(store, f"{name}.bottleneck", f, bottleneck)
         self.blocks = [
             TCNBlock(store, f"{name}.stack{r + 1}.block{l + 1}", bottleneck, hidden,
-                     kernel, 2 ** l, rng)
+                     kernel, 2 ** l)
             for r in range(stacks)
             for l in range(blocks_per_stack)
         ]
-        self.out_proj = Conv1x1(store, f"{name}.out_proj", bottleneck, f, rng)
+        self.out_proj = Conv1x1(store, f"{name}.out_proj", bottleneck, f)
 
     def forward(self, x: Array, bounds, *, train: bool):
         a, sa = self.sa.forward(x, bounds, train=train)
@@ -267,8 +260,8 @@ class Stage:
 
 
 class _FusionBranch:
-    def __init__(self, store: ParamStore, name: str, f: int, rng):
-        self.conv = Conv1x1(store, f"{name}.conv", f, f, rng)
+    def __init__(self, store: ParamStore, name: str, f: int):
+        self.conv = Conv1x1(store, f"{name}.conv", f, f)
         self.prelu = PReLULayer(store, f"{name}.prelu", f)
         self.gln = GlobalNormLayer(store, f"{name}.gln", f)
 
@@ -291,13 +284,13 @@ class FusionBlock:
     the sum passes conv, PReLU, global-norm, conv, PReLU.
     """
 
-    def __init__(self, store: ParamStore, name: str, f: int, rng):
-        self.branch_a = _FusionBranch(store, f"{name}.branch_a", f, rng)
-        self.branch_b = _FusionBranch(store, f"{name}.branch_b", f, rng)
-        self.post_conv1 = Conv1x1(store, f"{name}.post.conv1", f, f, rng)
+    def __init__(self, store: ParamStore, name: str, f: int):
+        self.branch_a = _FusionBranch(store, f"{name}.branch_a", f)
+        self.branch_b = _FusionBranch(store, f"{name}.branch_b", f)
+        self.post_conv1 = Conv1x1(store, f"{name}.post.conv1", f, f)
         self.post_prelu1 = PReLULayer(store, f"{name}.post.prelu1", f)
         self.post_gln = GlobalNormLayer(store, f"{name}.post.gln", f)
-        self.post_conv2 = Conv1x1(store, f"{name}.post.conv2", f, f, rng)
+        self.post_conv2 = Conv1x1(store, f"{name}.post.conv2", f, f)
         self.post_prelu2 = PReLULayer(store, f"{name}.post.prelu2", f)
 
     def forward(self, masked_orig: Array, prev_est: Array, bounds, *, train: bool):

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -23,6 +24,15 @@ from .train import TrainingDivergedError, fit, load_checkpoint
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+
+@contextlib.contextmanager
+def _about(where: str):
+    """Name the input file(s) ``where`` in an InputError about their content."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _load_pairs(manifest_path: str, fft_size: int, scored: bool):
@@ -66,23 +76,16 @@ def _load_pairs(manifest_path: str, fft_size: int, scored: bool):
 
 def cmd_info(args) -> int:
     cfg = parse_config_file(args.config).model
-    counts = cfg.parameter_counts()
-    rf = receptive_field(cfg.kernel, cfg.blocks_per_stack)
-    print(f"fft_size: {cfg.fft_size}")
-    print(f"hop: {cfg.hop}")
-    print(f"freq_bins: {cfg.freq_bins}")
-    print(f"stages: {cfg.stages}")
-    print(f"stacks_per_stage: {cfg.stacks}")
-    print(f"blocks_per_stack: {cfg.blocks_per_stack}")
-    print(f"kernel: {cfg.kernel}")
-    print(f"fusion_blocks: {cfg.num_fusions}")
-    print(f"receptive_field_frames: {rf}")
-    print(f"params_sa_block: {counts['sa_block']}")
-    print(f"params_tcn_blocks: {counts['tcn_blocks']}")
-    print(f"params_stage_glue: {counts['stage_glue']}")
-    print(f"params_per_stage: {counts['per_stage']}")
-    print(f"params_fusion_block: {counts['fusion_block']}")
-    print(f"params_total: {counts['total']}")
+    rows = {
+        "fft_size": cfg.fft_size, "hop": cfg.hop, "freq_bins": cfg.freq_bins,
+        "stages": cfg.stages, "stacks_per_stage": cfg.stacks,
+        "blocks_per_stack": cfg.blocks_per_stack, "kernel": cfg.kernel,
+        "fusion_blocks": cfg.num_fusions,
+        "receptive_field_frames": receptive_field(cfg.kernel, cfg.blocks_per_stack),
+    }
+    rows.update((f"params_{part}", n) for part, n in cfg.parameter_counts().items())
+    for key, value in rows.items():
+        print(f"{key}: {value}")
     return EXIT_OK
 
 
@@ -103,7 +106,8 @@ def cmd_synth(args) -> int:
 def cmd_mix(args) -> int:
     clean = audio.read_wav(args.clean)
     noise = audio.read_wav(args.noise)
-    noisy = audio.mix_at_snr(clean, noise, args.snr)
+    with _about(f"{args.clean}, {args.noise}"):
+        noisy = audio.mix_at_snr(clean, noise, args.snr)
     audio.write_wav(args.out, noisy)
     return EXIT_OK
 
@@ -126,7 +130,9 @@ def cmd_train(args) -> int:
 
 def cmd_enhance(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    enhanced, _ = model.enhance(audio.read_wav(args.infile))
+    wav = audio.read_wav(args.infile)
+    with _about(args.infile):
+        enhanced, _ = model.enhance(wav)
     audio.write_wav(args.out, enhanced)
     return EXIT_OK
 
@@ -142,17 +148,12 @@ def cmd_eval(args) -> int:
 
 def cmd_spec_dump(args) -> int:
     wav = audio.read_wav(args.infile)
-    cfg = (
-        parse_config_file(args.config).model
-        if args.config
-        else default_run_config().model
-    )
-    win = dsp.hann_window(cfg.fft_size, cfg.hop)
-    mag, _ = dsp.stft(wav.samples, win)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    cfg = (parse_config_file(args.config) if args.config else default_run_config()).model
+    with _about(args.infile):
+        mag, _ = dsp.stft(wav.samples, dsp.hann_window(cfg.fft_size, cfg.hop))
+    with dsp.replacing(args.out, fsync=False) as fh:
         for row in mag:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+            fh.write(f"{','.join(repr(float(v)) for v in row)}\n".encode("utf-8"))
     return EXIT_OK
 
 

@@ -11,11 +11,13 @@ values, which makes the round trip exact wherever the window coverage is
 non-degenerate, for any window/hop combination.
 
 ``InputError`` is the one type for bad input from outside the program; every
-reader raises it naming its file, and the CLI maps it to exit code 2.
+reader raises it naming its file, and the CLI maps it to exit code 2.  Every
+writer goes through ``replacing``, so no file is left half-written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -41,6 +43,25 @@ def read_text(path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
+
+
+@contextlib.contextmanager
+def replacing(path: str, *, fsync: bool):
+    """A binary temp file renamed onto ``path`` once the block completes, so
+    a failure at any point leaves the previous file and no temp file behind;
+    ``fsync`` also makes the data durable before the rename."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # Per-sample floor for the overlap-add normalization denominator.

@@ -138,20 +138,32 @@ class BatchTrace:
 
 class MultiStageModel:
     def __init__(self, config: ModelConfig):
+        """The model of ``config``, its init drawn from ``config.seed``."""
+        self._lay_out(config)
+        self.store.draw(np.random.default_rng(config.seed))
+
+    @classmethod
+    def layout(cls, config: ModelConfig) -> MultiStageModel:
+        """The same model without the draw, for ``load_checkpoint`` to fill."""
+        model = cls.__new__(cls)
+        model._lay_out(config)
+        return model
+
+    def _lay_out(self, config: ModelConfig):
         self.config = config
         self.window = dsp.hann_window(config.fft_size, config.hop)
-        self.store = ParamStore()
-        rng = np.random.default_rng(config.seed)
+        self.store = store = ParamStore(config.parameter_counts()["total"])
         f = config.freq_bins
         self.stages = [
-            Stage(self.store, f"stage{k + 1}", f, config.bottleneck, config.hidden,
-                  config.kernel, config.stacks, config.blocks_per_stack, rng)
+            Stage(store, f"stage{k + 1}", f, config.bottleneck, config.hidden,
+                  config.kernel, config.stacks, config.blocks_per_stack)
             for k in range(config.stages)
         ]
         self.fusions = [
-            FusionBlock(self.store, f"fusion{k}", f, rng)
-            for k in range(3, config.stages + 1)
+            FusionBlock(store, f"fusion{k}", f) for k in range(3, config.stages + 1)
         ]
+        if store.count() != store.values.size:
+            raise ValueError(f"layout fills {store.count()} of {store.values.size}")
 
     # -- forward ------------------------------------------------------------
 

@@ -8,14 +8,17 @@ The norm ops also return the normalized input and inverse standard deviation
 they computed; their backward passes take those instead of the input and hold
 only for train forwards (``batch_norm(..., train=True)``).  The tests check
 every backward pass against central differences of its forward.
-Parameter values are kept exactly representable in float32 (arithmetic still
-runs in float64) so the 32-bit checkpoint format round-trips bit-exactly.
+A ``ParamStore`` allocates one value and one gradient vector up front, and
+each ``Parameter`` is a named pair of views into them.  Parameter values are
+kept exactly representable in float32 (arithmetic still runs in float64) so
+the 32-bit checkpoint format round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,50 +34,54 @@ def f32_clean(a: Array) -> Array:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
-class Parameter:
-    """Named value tensor with a paired gradient buffer.
+class Parameter(NamedTuple):
+    """Immutable (name, value view, grad view); values change in place only."""
 
-    Once the owning store is packed, both are views into its flat vectors;
-    assigning ``value`` copies into the existing storage, so the view stays.
-    """
-
-    __slots__ = ("name", "_value", "grad")
-
-    def __init__(self, name: str, value: Array):
-        self.name = name
-        self._value = f32_clean(value)
-        self.grad = np.zeros_like(self._value)
-
-    @property
-    def value(self) -> Array:
-        return self._value
-
-    @value.setter
-    def value(self, new):
-        if np.shape(new) != self._value.shape:
-            raise ValueError(f"{self.name}: {np.shape(new)} != {self._value.shape}")
-        self._value[...] = new
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self._value.shape})"
+    name: str
+    value: Array
+    grad: Array
 
 
 class ParamStore:
-    """Ordered registry of parameters plus non-trainable state buffers."""
+    """One value and one gradient vector, allocated up front, whose next
+    slices each registration hands out with its init (a constant, or a
+    uniform fan-in draw that ``draw`` makes); plus non-trainable buffers."""
 
-    def __init__(self):
+    def __init__(self, size: int):
+        self.values = np.zeros(size)
+        self.grads = np.zeros(size)
         self._params: dict[str, Parameter] = {}
+        self._fan_ins: list[tuple[Array, int]] = []
         self._buffers: dict[str, Array] = {}
-        self._flat: tuple[Array, Array] | None = None
+        self._filled = 0
 
-    def register(self, name: str, value: Array) -> Parameter:
-        if self._flat is not None:
-            raise ValueError(f"cannot register {name}: the store is already packed")
+    def _register(self, name: str, shape: tuple[int, ...]) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        p = Parameter(name, value)
-        self._params[name] = p
+        start, stop = self._filled, self._filled + math.prod(shape)
+        if stop > self.values.size:
+            raise ValueError(f"{name} ends at value {stop} of {self.values.size}")
+        self._filled = stop
+        views = (v[start:stop].reshape(shape) for v in (self.values, self.grads))
+        self._params[name] = p = Parameter(name, *views)
         return p
+
+    def constant(self, name: str, shape: tuple[int, ...], value: float) -> Parameter:
+        p = self._register(name, shape)
+        p.value[...] = f32_clean(value)
+        return p
+
+    def uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> Parameter:
+        """A parameter that ``draw`` fills from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+        p = self._register(name, shape)
+        self._fan_ins.append((p.value, fan_in))
+        return p
+
+    def draw(self, rng: np.random.Generator):
+        """Draw every uniform parameter, in registration order."""
+        for value, fan_in in self._fan_ins:
+            a = math.sqrt(1.0 / fan_in)
+            value[...] = rng.uniform(-a, a, size=value.shape).astype(np.float32)
 
     def register_buffer(self, name: str, value: Array) -> Array:
         if name in self._buffers:
@@ -83,25 +90,8 @@ class ParamStore:
         self._buffers[name] = buf
         return buf
 
-    def flat(self) -> tuple[Array, Array]:
-        """One contiguous value vector and one gradient vector, in
-        registration order.
-
-        Packed on the first call (inference never makes one), after which no
-        parameter may be added: each parameter's arrays are copied into their
-        slices and replaced by views, one at a time, so no second full copy
-        of the parameters is ever held.
-        """
-        if self._flat is None:
-            values, grads = self._flat = np.empty(self.count()), np.zeros(self.count())
-            for (name, value), (_, grad) in zip(self.views(values), self.views(grads)):
-                p = self._params[name]
-                value[...], grad[...] = p.value, p.grad
-                p._value, p.grad = value, grad
-        return self._flat
-
     def views(self, vector: Array):
-        """(name, view) pairs splitting a vector laid out like ``flat``."""
+        """(name, view) pairs splitting a vector laid out like ``values``."""
         start = 0
         for name, p in self._params.items():
             stop = start + p.value.size
@@ -115,7 +105,7 @@ class ParamStore:
         return self._buffers.items()
 
     def count(self) -> int:
-        return sum(p.value.size for p in self._params.values())
+        return self._filled
 
 
 @dataclass

@@ -11,9 +11,7 @@ with a few whole-vector operations.  A bad checkpoint file raises
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import struct
 from dataclasses import dataclass
 
@@ -74,14 +72,14 @@ class AdamState:
     vector (``ParamStore.views`` splits them by name), plus step count."""
 
     def __init__(self, store: ParamStore):
-        self.m = np.zeros(store.count())
-        self.v = np.zeros(store.count())
+        self.m = np.zeros_like(store.values)
+        self.v = np.zeros_like(store.values)
         self.step = 0
 
 
 def adam_step(store: ParamStore, state: AdamState, cfg: TrainConfig):
     """One bias-corrected Adam update; gradients are zeroed afterwards."""
-    values, grads = store.flat()
+    values, grads = store.values, store.grads
     if not np.isfinite(grads).all():
         name = next(n for n, p in store.params() if not np.isfinite(p.grad).all())
         raise ValueError(f"non-finite gradient in parameter {name}")
@@ -257,30 +255,14 @@ def _tensor_bytes(name: str, value: Array) -> bytes:
 def save_checkpoint(
     model: MultiStageModel, path: str, state: AdamState | None = None
 ):
-    """Write the checkpoint atomically: a sibling temp file is written,
-    fsynced and renamed onto ``path``, so a failure at any point leaves the
-    previous file as it was."""
+    """Write the checkpoint atomically and durably (``dsp.replacing``)."""
     cfg = model.config
     tensors = list(_tensors(model, state))
-    header = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<8i", *(getattr(cfg, name) for name in _HEADER_FIELDS)),
-        struct.pack("<q", cfg.seed),
-        struct.pack("<i", len(tensors)),
-    ]
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(header))
-            for name, value in tensors:
-                fh.write(_tensor_bytes(name, value))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    fields = (getattr(cfg, name) for name in _HEADER_FIELDS)
+    with dsp.replacing(path, fsync=True) as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<8iqi", *fields, cfg.seed, len(tensors)))
+        for name, value in tensors:
+            fh.write(_tensor_bytes(name, value))
 
 
 class _Reader:
@@ -370,7 +352,7 @@ def load_checkpoint(path: str) -> tuple[MultiStageModel, AdamState | None]:
             path, f"tensors hold {floats} model values, the header's config "
             f"needs {config.state_floats}", end,
         )
-    model = MultiStageModel(config)
+    model = MultiStageModel.layout(config)
     n_model = len(model.store.params()) + len(model.store.buffers())
     # optimizer state, when present, follows the model's own tensors
     state = AdamState(model.store) if n_tensors > n_model else None

@@ -7,14 +7,21 @@ computation with them.  The two ``*_backward`` references are vectorized:
 they are the norm backward passes as written before the forward saved its
 statistics, recomputing mean, variance and x-hat from the input.  The
 finite-difference checker and the store helpers at the end are the test
-equipment every backward pass is checked with.
+equipment every backward pass is checked with; ``run_cli`` runs the command
+line in a child process.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from stagemask.nn import BN_EPS, GLN_EPS, f32_clean
+from stagemask.nn import BN_EPS, GLN_EPS, ParamStore, f32_clean
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def naive_dft(frame):
@@ -253,7 +260,7 @@ def ref_cascade_loss(masks, x, clean):
 def randomize_params(store, rng, scale=0.3):
     """Put every parameter (including attention deltas) in general position."""
     for _, p in store.params():
-        p.value = f32_clean(p.value + rng.uniform(-scale, scale, size=p.value.shape))
+        p.value[...] = f32_clean(p.value + rng.uniform(-scale, scale, size=p.value.shape))
 
 
 def constant_masks(monkeypatch, model, value):
@@ -302,8 +309,34 @@ def finite_diff_check(fn, point, h=1e-4):
 
 
 def zero_grads(store):
-    """Clear every parameter gradient of ``store`` (packing it if needed)."""
-    store.flat()[1][...] = 0.0
+    """Clear every parameter gradient of ``store``."""
+    store.grads[...] = 0.0
+
+
+def build(make, rng):
+    """``make(store)`` run on a store of exactly the size it fills, whose
+    uniform init is then drawn from ``rng``; returns (make's result, store).
+
+    A first run on a roomy store measures the size; ``np.zeros`` leaves its
+    untouched pages unallocated.
+    """
+    probe = ParamStore(1 << 20)
+    make(probe)
+    store = ParamStore(probe.count())
+    made = make(store)
+    store.draw(rng)
+    return made, store
+
+
+def run_cli(*args):
+    """``python -m stagemask ARGS`` in a child process that imports the
+    package from this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "stagemask", *map(str, args)],
+        capture_output=True, text=True, env=env,
+    )
 
 
 def prefix_counts(model):

@@ -4,8 +4,6 @@ The training experiment (criteria 6, 7, 9) drives the command-line interface
 end to end; two full runs with identical seeds back the determinism check.
 """
 
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -17,7 +15,8 @@ from stagemask.blocks import SABlock, TCNBlock, receptive_field
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
 from reference import (
-    finite_diff_check, margined_clean, prefix_counts, randomize_params, zero_grads,
+    build, finite_diff_check, margined_clean, prefix_counts, randomize_params, run_cli,
+    zero_grads,
 )
 
 TOY_CONFIG_TEXT = (
@@ -25,14 +24,6 @@ TOY_CONFIG_TEXT = (
     "kernel = 3\nfft_size = 128\nhop = 64\nseed = 11\n"
     "lr = 0.0002\nbatch = 4\nepochs = 500\ntrain_seed = 3\n"
 )
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "stagemask", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
 
 
 def parse_kv(text):
@@ -105,9 +96,10 @@ def test_criterion_1_parameter_counts():
 
 def test_criterion_2_receptive_field():
     assert receptive_field(3, 8) == 511
-    store = nn.ParamStore()
-    rng = np.random.default_rng(17)
-    blocks = [TCNBlock(store, f"b{l}", 4, 6, 3, 2 ** l, rng) for l in range(8)]
+    blocks, _ = build(
+        lambda store: [TCNBlock(store, f"b{l}", 4, 6, 3, 2 ** l) for l in range(8)],
+        np.random.default_rng(17),
+    )
 
     def run(x):
         h = x
@@ -246,13 +238,12 @@ def test_criterion_4_gradient_correctness():
         p = dict(model.store.params())[names[idx]]
         flat = int(rng.integers(p.value.size))
         orig = p.value.copy()
-        p.value = orig.copy()
         p.value.reshape(-1)[flat] += h
         up = total_loss_batch(model.forward_batch([x], train=True), [clean])[1][0]
-        p.value = orig.copy()
+        p.value[...] = orig
         p.value.reshape(-1)[flat] -= h
         down = total_loss_batch(model.forward_batch([x], train=True), [clean])[1][0]
-        p.value = orig
+        p.value[...] = orig
         numeric = (up - down) / (2 * h)
         analytic = grads[names[idx]].reshape(-1)[flat]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
@@ -265,17 +256,15 @@ def test_criterion_4_gradient_correctness():
 def test_criterion_5_architectural_identities():
     rng = np.random.default_rng(23)
 
-    store = nn.ParamStore()
-    sa = SABlock(store, "sa", 6, rng)
+    sa, store = build(lambda store: SABlock(store, "sa", 6), rng)
     randomize_params(store, rng)
-    sa.delta.value = np.zeros(1)
+    sa.delta.value[...] = np.zeros(1)
     x = rng.standard_normal((6, 9))
     assert np.array_equal(sa.forward(x, (0, 9), train=False)[0], x)
 
-    store2 = nn.ParamStore()
-    tcn = TCNBlock(store2, "blk", 4, 6, 3, 2, rng)
-    tcn.out_conv.weight.value = np.zeros((4, 6))
-    tcn.out_conv.bias.value = np.zeros(4)
+    tcn, _ = build(lambda store: TCNBlock(store, "blk", 4, 6, 3, 2), rng)
+    tcn.out_conv.weight.value[...] = np.zeros((4, 6))
+    tcn.out_conv.bias.value[...] = np.zeros(4)
     x2 = rng.standard_normal((4, 10))
     assert np.array_equal(tcn.forward(x2, (0, 10), train=True)[0], x2)
 

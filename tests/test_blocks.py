@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from stagemask import nn
 from stagemask.blocks import FusionBlock, SABlock, Stage, TCNBlock, receptive_field
 
 from reference import (
+    build,
     finite_diff_check,
     randomize_params,
     ref_fusion,
@@ -33,13 +33,12 @@ def _eval(unit, *args):
 
 
 def _sa(f, seed=0):
-    store = nn.ParamStore()
-    return SABlock(store, "sa", f, np.random.default_rng(seed)), store
+    return build(lambda store: SABlock(store, "sa", f), np.random.default_rng(seed))
 
 
 def _tcn(b, h, p, d, seed=0):
-    store = nn.ParamStore()
-    return TCNBlock(store, "blk", b, h, p, d, np.random.default_rng(seed)), store
+    return build(lambda store: TCNBlock(store, "blk", b, h, p, d),
+                 np.random.default_rng(seed))
 
 
 class TestReceptiveField:
@@ -59,12 +58,11 @@ class TestReceptiveField:
         rf = receptive_field(p_taps, l_blocks)
         half = (rf - 1) // 2
         t_len = 4 * rf
-        store = nn.ParamStore()
-        rng = np.random.default_rng(11)
-        blocks = [
-            TCNBlock(store, f"b{l}", width, 6, p_taps, 2 ** l, rng)
-            for l in range(l_blocks)
-        ]
+        blocks, _ = build(
+            lambda store: [TCNBlock(store, f"b{l}", width, 6, p_taps, 2 ** l)
+                           for l in range(l_blocks)],
+            np.random.default_rng(11),
+        )
 
         def run(x):
             h = x
@@ -92,21 +90,21 @@ class TestSABlock:
 
     def test_zero_input_zero_bias_gives_zero(self):
         block, store = _sa(5, seed=5)
-        block.delta.value = np.array([0.7])
+        block.delta.value[...] = np.array([0.7])
         for name, p in store.params():
             if name.endswith(".bias"):
-                p.value = np.zeros_like(p.value)
+                p.value[...] = 0.0
         x = np.zeros((5, 4))
         np.testing.assert_array_equal(_eval(block, x, _one(x)), np.zeros((5, 4)))
 
     def test_identity_projections_formula(self):
         block, _ = _sa(3, seed=6)
-        block.wq.weight.value = np.eye(3)
-        block.wk.weight.value = np.eye(3)
-        block.wv.weight.value = np.eye(3)
+        block.wq.weight.value[...] = np.eye(3)
+        block.wk.weight.value[...] = np.eye(3)
+        block.wv.weight.value[...] = np.eye(3)
         for conv in (block.wq, block.wk, block.wv):
-            conv.bias.value = np.zeros(3)
-        block.delta.value = np.array([1.0])
+            conv.bias.value[...] = np.zeros(3)
+        block.delta.value[...] = np.array([1.0])
         x = np.random.default_rng(7).standard_normal((3, 2))
         expected = x + ref_softmax_columns(x @ x.T / np.sqrt(3.0)) @ x
         np.testing.assert_allclose(_eval(block, x, _one(x)), expected, atol=1e-10)
@@ -142,7 +140,7 @@ class TestSABlock:
         c = rng.standard_normal((3, 4))
 
         def fn(delta):
-            block.delta.value = delta
+            block.delta.value[...] = delta
             y, cache = block.forward(x, _one(x), train=True)
             zero_grads(store)
             block.backward(c, cache, _one(x))
@@ -179,8 +177,8 @@ class TestSABlock:
 class TestTCNBlock:
     def test_zero_out_conv_is_identity(self):
         block, _ = _tcn(4, 6, 3, 2, seed=14)
-        block.out_conv.weight.value = np.zeros((4, 6))
-        block.out_conv.bias.value = np.zeros(4)
+        block.out_conv.weight.value[...] = np.zeros((4, 6))
+        block.out_conv.bias.value[...] = np.zeros(4)
         x = np.random.default_rng(15).standard_normal((4, 10))
         np.testing.assert_array_equal(block.forward(x, _one(x), train=True)[0], x)
 
@@ -217,9 +215,8 @@ class TestTCNBlock:
 
 class TestStage:
     def _stage(self, seed=22):
-        store = nn.ParamStore()
-        stage = Stage(store, "stage1", 9, 4, 6, 3, 2, 3, np.random.default_rng(seed))
-        return stage, store
+        return build(lambda store: Stage(store, "stage1", 9, 4, 6, 3, 2, 3),
+                     np.random.default_rng(seed))
 
     def test_mask_strictly_in_unit_interval(self):
         stage, store = self._stage()
@@ -231,8 +228,8 @@ class TestStage:
 
     def test_zero_out_proj_gives_half(self):
         stage, _ = self._stage(seed=24)
-        stage.out_proj.weight.value = np.zeros((9, 4))
-        stage.out_proj.bias.value = np.zeros(9)
+        stage.out_proj.weight.value[...] = np.zeros((9, 4))
+        stage.out_proj.bias.value[...] = np.zeros(9)
         x = np.abs(np.random.default_rng(25).standard_normal((9, 5)))
         np.testing.assert_array_equal(_eval(stage, x, _one(x)), np.full((9, 5), 0.5))
 
@@ -253,14 +250,14 @@ class TestStage:
 
 class TestFusionBlock:
     def _fusion(self, f=5, seed=28):
-        store = nn.ParamStore()
-        return FusionBlock(store, "fusion3", f, np.random.default_rng(seed)), store
+        return build(lambda store: FusionBlock(store, "fusion3", f),
+                     np.random.default_rng(seed))
 
     def test_zero_inputs_zero_biases_gives_zero(self):
         fusion, store = self._fusion()
         for name, p in store.params():
             if name.endswith(".bias") or name.endswith(".beta"):
-                p.value = np.zeros_like(p.value)
+                p.value[...] = 0.0
         y = _eval(fusion, np.zeros((5, 4)), np.zeros((5, 4)), (0, 4))
         np.testing.assert_array_equal(y, np.zeros((5, 4)))
 

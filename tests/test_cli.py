@@ -1,5 +1,3 @@
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +12,9 @@ from stagemask.dsp import InputError
 from stagemask.model import MultiStageModel
 from stagemask.train import load_checkpoint, save_checkpoint
 
+from reference import run_cli
+
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "stagemask", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
 
 
 def parse_kv(stdout):
@@ -388,7 +379,8 @@ class TestConfigValueErrors:
 class TestBadInput:
     """Each reader rejects a missing or malformed file with exit 2 and the
     error its own call raises, which names the file; the library's checks
-    on other input exit 2 with the library's message.  Neither makes output."""
+    on a file's content exit 2 with the library's message behind the file's
+    name, and on an argument with the bare message.  None makes output."""
 
     READERS = {  # reader -> (library call, command that reads the file with it)
         "wav": (read_wav, lambda f, tmp, conf: [
@@ -402,14 +394,16 @@ class TestBadInput:
     }
 
     @staticmethod
-    def _exits_2(argv, call, tmp_path, capsys):
+    def _exits_2(argv, call, where, tmp_path, capsys):
+        """The CLI's message is ``call``'s, behind ``where`` unless None."""
         with pytest.raises(InputError) as exc:
             call()
+        message = str(exc.value) if where is None else f"{where}: {exc.value}"
         before = sorted(tmp_path.iterdir())
         assert cli.run([str(a) for a in argv]) == 2
-        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(tmp_path.iterdir()) == before
-        return str(exc.value)
+        return message
 
     @pytest.mark.parametrize("state", ["missing", "malformed"])
     @pytest.mark.parametrize("reader", sorted(READERS))
@@ -420,29 +414,42 @@ class TestBadInput:
             path.write_bytes(b"junk\n")  # one field, no `=`, no RIFF or magic
         call, argv = self.READERS[reader]
         message = self._exits_2(argv(path, tmp_path, toy_config),
-                                lambda: call(str(path)), tmp_path, capsys)
+                                lambda: call(str(path)), None, tmp_path, capsys)
         assert message.startswith(f"{path}:")
 
-    @pytest.mark.parametrize("case", ["synth-n-0", "mix-empty-noise",
-                                      "enhance-short-input"])
+    @pytest.mark.parametrize("case", [
+        "synth-n-0", "mix-empty-noise", "mix-rate-mismatch", "mix-silent-clean",
+        "mix-silent-noise", "enhance-short-input", "spec-dump-short-input"])
     def test_library_check_exits_2_with_its_message(self, case, tmp_path, capsys):
-        short = tmp_path / "short.wav"
-        write_wav(short, dsp.Waveform(0.1 * np.ones(20), 8000))
-        empty = tmp_path / "empty.wav"
-        write_wav(empty, dsp.Waveform(np.zeros(0), 8000))
+        wavs = {"short": (0.1 * np.ones(20), 8000), "empty": (np.zeros(0), 8000),
+                "silent": (np.zeros(20), 8000), "wideband": (0.1 * np.ones(20), 16000)}
+        for name, (samples, rate) in wavs.items():
+            write_wav(tmp_path / f"{name}.wav", dsp.Waveform(samples, rate))
+        short, empty, silent, wideband = (tmp_path / f"{name}.wav" for name in wavs)
         ckpt = FIXTURES / "toy_satcn001.ckpt"
-        argv, call = {
+
+        def mix(clean, noise):
+            return (["mix", "--clean", clean, "--noise", noise, "--snr", 0,
+                     "--out", tmp_path / "o.wav"],
+                    lambda: mix_at_snr(read_wav(clean), read_wav(noise), 0.0),
+                    f"{clean}, {noise}")
+
+        argv, call, where = {
             "synth-n-0": (["synth", "--n", 0, "--outdir", tmp_path / "out"],
-                          lambda: synth_toy_dataset(0)),
-            "mix-empty-noise": (
-                ["mix", "--clean", short, "--noise", empty, "--snr", 0,
-                 "--out", tmp_path / "o.wav"],
-                lambda: mix_at_snr(read_wav(short), read_wav(empty), 0.0)),
+                          lambda: synth_toy_dataset(0), None),
+            "mix-empty-noise": mix(short, empty),
+            "mix-rate-mismatch": mix(short, wideband),
+            "mix-silent-clean": mix(silent, short),
+            "mix-silent-noise": mix(short, silent),
             "enhance-short-input": (
                 ["enhance", "--ckpt", ckpt, "--in", short, "--out", tmp_path / "o.wav"],
-                lambda: load_checkpoint(ckpt)[0].enhance(read_wav(short))),
+                lambda: load_checkpoint(ckpt)[0].enhance(read_wav(short)), short),
+            "spec-dump-short-input": (
+                ["spec-dump", "--in", short, "--out", tmp_path / "o.csv"],
+                lambda: dsp.stft(read_wav(short).samples, dsp.hann_window(512, 256)),
+                short),
         }[case]
-        self._exits_2(argv, call, tmp_path, capsys)
+        self._exits_2(argv, call, where, tmp_path, capsys)
 
 
 class TestUsage:

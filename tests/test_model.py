@@ -231,13 +231,12 @@ class TestGradients:
             p = dict(model.store.params())[names[idx]]
             flat_idx = int(rng.integers(p.value.size))
             orig = p.value.copy()
-            p.value = orig.copy()
             p.value.reshape(-1)[flat_idx] += h
             up = loss_value()
-            p.value = orig.copy()
+            p.value[...] = orig
             p.value.reshape(-1)[flat_idx] -= h
             down = loss_value()
-            p.value = orig
+            p.value[...] = orig
             numeric = (up - down) / (2 * h)
             analytic = grads[names[idx]].reshape(-1)[flat_idx]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
@@ -277,13 +276,12 @@ class TestGradients:
             p = dict(model.store.params())[names[idx]]
             flat = int(rng.integers(p.value.size))
             orig = p.value.copy()
-            p.value = orig.copy()
             p.value.reshape(-1)[flat] += h
             up = objective()
-            p.value = orig.copy()
+            p.value[...] = orig
             p.value.reshape(-1)[flat] -= h
             down = objective()
-            p.value = orig
+            p.value[...] = orig
             numeric = (up - down) / (2 * h)
             analytic = grads[names[idx]].reshape(-1)[flat]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
@@ -318,10 +316,10 @@ class TestGradients:
             orig = p.value.copy()
             p.value.reshape(-1)[flat] += h
             up = objective()
-            p.value = orig
+            p.value[...] = orig
             p.value.reshape(-1)[flat] -= h
             down = objective()
-            p.value = orig
+            p.value[...] = orig
             numeric = (up - down) / (2 * h)
             analytic = grads[names[idx]].reshape(-1)[flat]
             worst = max(worst, abs(analytic - numeric)

@@ -524,55 +524,72 @@ class TestDeterminism:
 
 class TestParamStore:
     def test_duplicate_rejected(self):
-        store = nn.ParamStore()
-        store.register("a.weight", np.zeros(3))
+        store = nn.ParamStore(6)
+        store.constant("a.weight", (3,), 0.0)
         with pytest.raises(ValueError):
-            store.register("a.weight", np.zeros(3))
+            store.constant("a.weight", (3,), 0.0)
 
     def test_order_and_count(self):
-        store = nn.ParamStore()
-        store.register("b", np.zeros((2, 3)))
-        store.register("a", np.zeros(4))
+        store = nn.ParamStore(10)
+        store.constant("b", (2, 3), 0.0)
+        store.uniform("a", (4,), 4)
         assert [name for name, _ in store.params()] == ["b", "a"]
-        assert store.count() == 10
+        assert store.count() == store.values.size == 10
 
     def test_zero_grads(self):
-        store = nn.ParamStore()
-        p = store.register("w", np.ones(3))
-        p.grad += 5.0
+        store = nn.ParamStore(3)
+        p = store.constant("w", (3,), 1.0)
+        p.grad[...] += 5.0
         zero_grads(store)
         assert np.all(p.grad == 0.0)
 
     def test_flat_views_share_storage(self):
-        store = nn.ParamStore()
-        a = store.register("a", np.ones((2, 3)))
-        b = store.register("b", np.array([0.5, 0.25]))
-        a.grad += 2.0
-        values, grads = store.flat()
-        np.testing.assert_array_equal(values, [1, 1, 1, 1, 1, 1, 0.5, 0.25])
+        store = nn.ParamStore(8)
+        a = store.constant("a", (2, 3), 1.0)
+        b = store.constant("b", (2,), 0.5)
+        a.grad[...] += 2.0
+        values, grads = store.values, store.grads
+        np.testing.assert_array_equal(values, [1, 1, 1, 1, 1, 1, 0.5, 0.5])
         np.testing.assert_array_equal(grads, [2, 2, 2, 2, 2, 2, 0, 0])
-        b.value = np.array([3.0, 4.0])  # assignment writes through
+        b.value[...] = [3.0, 4.0]
         a.value.reshape(-1)[0] = 7.0
         np.testing.assert_array_equal(values[[0, 6, 7]], [7.0, 3.0, 4.0])
         grads[7] = 9.0
         assert b.grad[1] == 9.0
         assert [name for name, _ in store.views(values)] == ["a", "b"]
-        assert store.flat()[0] is values
 
-    def test_assignment_shape_checked(self):
-        store = nn.ParamStore()
-        p = store.register("w", np.zeros(3))
-        with pytest.raises(ValueError):
-            p.value = np.zeros(4)
+    def test_value_cannot_be_rebound(self):
+        store = nn.ParamStore(3)
+        p = store.constant("w", (3,), 0.0)
+        with pytest.raises(AttributeError):
+            p.value = np.ones(3)
+        assert np.all(store.values == 0.0)
 
-    def test_register_after_packing_rejected(self):
-        store = nn.ParamStore()
-        store.register("w", np.zeros(3))
-        store.flat()
-        with pytest.raises(ValueError):
-            store.register("late", np.zeros(2))
+    def test_register_past_the_end_rejected(self):
+        store = nn.ParamStore(4)
+        store.constant("w", (3,), 0.0)
+        with pytest.raises(ValueError, match="late"):
+            store.uniform("late", (2,), 2)
+        assert [name for name, _ in store.params()] == ["w"]
+
+    def test_draw_fills_uniform_parameters_in_registration_order(self):
+        store = nn.ParamStore(13)
+        a = store.uniform("a", (2, 3), 3)
+        b = store.constant("b", (3,), 0.25)
+        c = store.uniform("c", (4,), 4)
+        assert np.all(a.value == 0.0) and np.all(c.value == 0.0)
+        store.draw(np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want_a = rng.uniform(-(1 / 3) ** 0.5, (1 / 3) ** 0.5, size=(2, 3))
+        want_c = rng.uniform(-0.5, 0.5, size=4)
+        np.testing.assert_array_equal(a.value, want_a.astype(np.float32))
+        np.testing.assert_array_equal(c.value, want_c.astype(np.float32))
+        assert np.all(b.value == 0.25)
 
     def test_values_float32_clean(self):
-        store = nn.ParamStore()
-        p = store.register("w", np.array([0.1, 0.2, 1.0 / 3.0]))
-        assert np.array_equal(p.value, p.value.astype(np.float32).astype(np.float64))
+        store = nn.ParamStore(9)
+        p = store.constant("w", (3,), 0.1)
+        q = store.uniform("u", (6,), 6)
+        store.draw(np.random.default_rng(0))
+        for v in (p.value, q.value):
+            assert np.array_equal(v, v.astype(np.float32).astype(np.float64))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from stagemask import cli, dsp, nn
-from stagemask.audio import synth_toy_dataset
+from stagemask.audio import synth_toy_dataset, write_manifest, write_wav
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 from stagemask.train import (
     CHECKPOINT_MAGIC,
@@ -53,8 +54,9 @@ def _toy_pairs(n=4, seed=0, duration=0.2):
 
 class TestAdam:
     def test_zero_gradients_leave_parameters(self):
-        store = nn.ParamStore()
-        p = store.register("w", np.array([1.0, -2.0]))
+        store = nn.ParamStore(2)
+        p = store.constant("w", (2,), 0.0)
+        p.value[...] = [1.0, -2.0]
         state = AdamState(store)
         before = p.value.copy()
         adam_step(store, state, TrainConfig())
@@ -62,8 +64,8 @@ class TestAdam:
         assert state.step == 1
 
     def test_first_step_moves_by_lr(self):
-        store = nn.ParamStore()
-        p = store.register("w", np.array([1.0]))
+        store = nn.ParamStore(1)
+        p = store.constant("w", (1,), 1.0)
         state = AdamState(store)
         cfg = TrainConfig(lr=2e-4)
         p.grad[...] = 0.5
@@ -73,24 +75,25 @@ class TestAdam:
         assert abs((1.0 - p.value[0]) - cfg.lr) < 1e-6
 
     def test_nan_gradient_aborts_with_name(self):
-        store = nn.ParamStore()
-        store.register("good", np.zeros(2))
-        bad = store.register("layer.bad", np.zeros(2))
+        store = nn.ParamStore(4)
+        store.constant("good", (2,), 0.0)
+        bad = store.constant("layer.bad", (2,), 0.0)
         bad.grad[0] = np.nan
         with pytest.raises(ValueError, match="layer.bad"):
             adam_step(store, AdamState(store), TrainConfig())
 
     def test_gradients_zeroed_after_step(self):
-        store = nn.ParamStore()
-        p = store.register("w", np.ones(3))
+        store = nn.ParamStore(3)
+        p = store.constant("w", (3,), 1.0)
         p.grad[...] = 1.0
         adam_step(store, AdamState(store), TrainConfig())
         assert np.all(p.grad == 0.0)
 
     def test_deterministic_across_runs(self):
         def run():
-            store = nn.ParamStore()
-            p = store.register("w", np.linspace(-1, 1, 5))
+            store = nn.ParamStore(5)
+            p = store.constant("w", (5,), 0.0)
+            p.value[...] = nn.f32_clean(np.linspace(-1, 1, 5))
             state = AdamState(store)
             rng = np.random.default_rng(4)
             for _ in range(10):
@@ -101,8 +104,8 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
     def test_clip_norm_scales_gradients(self):
-        store = nn.ParamStore()
-        p = store.register("w", np.zeros(4))
+        store = nn.ParamStore(4)
+        p = store.constant("w", (4,), 0.0)
         state = AdamState(store)
         p.grad[...] = 3.0  # norm 6
         adam_step(store, state, TrainConfig(clip_norm=1.0))
@@ -135,9 +138,10 @@ class TestFlatAdamMatchesPerTensorLoop:
 
     def _run(self, cfg, steps=6):
         rng = np.random.default_rng(17)
-        store = nn.ParamStore()
+        store = nn.ParamStore(sum(math.prod(shape) for shape in self.SHAPES.values()))
         for name, shape in self.SHAPES.items():
-            store.register(name, rng.standard_normal(shape))
+            store.constant(name, shape, 0.0).value[...] = nn.f32_clean(
+                rng.standard_normal(shape))
         state = AdamState(store)
         values = {name: p.value.copy() for name, p in store.params()}
         m = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
@@ -398,17 +402,33 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(padded)
 
-    @pytest.mark.parametrize("fail_at", ["tensor", "fsync"])
+    @pytest.mark.parametrize("fail_at", ["tensor", "fsync", "wav", "manifest", "spec-dump"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
+        # every writer: k = 0 writes the previous file, k = 1 fails part-way
         import stagemask.train as train_mod
 
-        path = tmp_path / "best.ckpt"
-        save_checkpoint(MultiStageModel(TOY), path)
+        inputs = [tmp_path / f"in{k}.wav" for k in (0, 1)]
+        for k, wav in enumerate(inputs):
+            write_wav(wav, dsp.Waveform(np.full(600, 0.1 + k / 10), 8000))
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / {"wav": "o.wav", "manifest": "m.tsv", "spec-dump": "o.csv"}.get(
+            fail_at, "best.ckpt")
+        checkpoint = lambda k: save_checkpoint(MultiStageModel(replace(TOY, seed=3 + k)), path)
+        write = {
+            "tensor": checkpoint,
+            "fsync": checkpoint,
+            "wav": lambda k: write_wav(path, dsp.Waveform(np.full(600, 0.1 + k / 10), 8000)),
+            "manifest": lambda k: write_manifest(path, [("c.wav", "n.wav", float(k))] * 3),
+            "spec-dump": lambda k: cli.cmd_spec_dump(cli.build_parser().parse_args(
+                ["spec-dump", "--in", str(inputs[k]), "--out", str(path)])),
+        }[fail_at]
+        write(0)
         before = path.read_bytes()
         on_disk = []
 
         def fail(*_):
-            on_disk.append(sorted(p.name for p in tmp_path.iterdir()))
+            on_disk.append(sorted(p.name for p in out.iterdir()))
             raise OSError("disk full")
 
         if fail_at == "tensor":
@@ -421,13 +441,26 @@ class TestCheckpoint:
                 return fail() if len(written) == 5 else real(name, value)
 
             monkeypatch.setattr(train_mod, "_tensor_bytes", tensor_bytes)
+        elif fail_at == "fsync":
+            monkeypatch.setattr(os, "fsync", fail)
         else:
-            monkeypatch.setattr(train_mod.os, "fsync", fail)
+            def second_write_fails(file, mode):
+                fh = open(file, mode)
+                real, calls = fh.write, []
+
+                def write(data):
+                    calls.append(data)
+                    return fail() if len(calls) == 2 else real(data)
+
+                fh.write = write
+                return fh
+
+            monkeypatch.setattr(dsp, "open", second_write_fails, raising=False)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(MultiStageModel(replace(TOY, seed=4)), path)
+            write(1)
         assert len(on_disk[0]) == 2  # the partial file sat next to the old one
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+        assert [p.name for p in out.iterdir()] == [path.name]
 
 
     def _fixture_tensors_sha256(self, model, state):
@@ -447,6 +480,15 @@ class TestCheckpoint:
         assert self._fixture_tensors_sha256(model, state) == FIXTURE_TENSORS_SHA256
         save_checkpoint(model, tmp_path / "again.ckpt", state)
         assert (tmp_path / "again.ckpt").read_bytes() == src.read_bytes()
+
+    def test_load_draws_no_random_numbers(self, monkeypatch):
+        def no_draw(*_):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(nn.ParamStore, "draw", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        model, state = load_checkpoint(FIXTURES / "toy_satcn001.ckpt")
+        assert self._fixture_tensors_sha256(model, state) == FIXTURE_TENSORS_SHA256
 
     def test_earlier_file_enhances_to_recorded_pcm(self, tmp_path):
         out = tmp_path / "enhanced.wav"
