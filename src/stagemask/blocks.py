@@ -14,7 +14,9 @@ one is the plain (C, T) array with bounds (0, T).  Every block's
 ``backward(dy, cache, bounds)`` takes that cache back; ``bounds`` is never
 cached.  A train forward uses batch statistics; an eval forward uses running
 statistics, returns a None cache and is safe to run concurrently on frozen
-parameters.
+parameters.  A ``TCNBlock`` adds its residual into its last convolution's
+output and, in eval, normalizes the PReLU outputs it made in place; no block
+writes into its input or into an array that a train forward caches.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class BatchNormLayer:
 
     Train statistics cover every column of the packed batch, so a batch of
     one falls back to plain per-utterance time statistics.  ``backward``
-    takes the statistics saved by a ``train=True`` forward.
+    takes the statistics saved by a ``train=True`` forward; an eval forward
+    overwrites its input.
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int):
@@ -201,7 +204,8 @@ class TCNBlock:
         )
         h4 = self.prelu2.forward(h3)
         h5, bn2 = self.bn2.forward(h4, train=train)
-        y = x + self.out_conv.forward(h5)
+        y = self.out_conv.forward(h5)
+        y += x
         return y, ((x, h0, bn1, h2, h3, bn2, h5) if train else None)
 
     def backward(self, dy: Array, cache, bounds) -> Array:

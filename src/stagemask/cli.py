@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -33,6 +34,14 @@ def _about(where: str):
         yield
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc
+
+
+def finite(text: str) -> float:
+    """argparse type of a float option that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _load_pairs(manifest_path: str, fft_size: int, scored: bool):
@@ -179,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="mix clean speech with noise at a target SNR")
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
-    p.add_argument("--snr", type=float, required=True)
+    p.add_argument("--snr", type=finite, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mix)
 

@@ -8,6 +8,9 @@ The norm ops also return the normalized input and inverse standard deviation
 they computed; their backward passes take those instead of the input and hold
 only for train forwards (``batch_norm(..., train=True)``).  The tests check
 every backward pass against central differences of its forward.
+``pointwise_conv``, ``prelu`` and ``depthwise_dconv`` finish in place on arrays
+they allocated, in the operation order of the plain expression, so the bits
+are the expression's; only the eval ``batch_norm`` writes into its input.
 A ``ParamStore`` allocates one value and one gradient vector up front, and
 each ``Parameter`` is a named pair of views into them.  Parameter values are
 kept exactly representable in float32 (arithmetic still runs in float64) so
@@ -126,7 +129,9 @@ def pointwise_conv(x: Array, weight: Array, bias: Array) -> Array:
         raise ValueError(f"shape mismatch: weight {weight.shape} @ x {x.shape}")
     if bias.shape != (weight.shape[0],):
         raise ValueError(f"bias shape {bias.shape} != ({weight.shape[0]},)")
-    return weight @ x + bias[:, None]
+    y = weight @ x
+    y += bias[:, None]
+    return y
 
 
 def pointwise_conv_backward(dy: Array, x: Array, weight: Array):
@@ -177,12 +182,16 @@ def depthwise_dconv(
         raise ValueError(f"bias shape {bias.shape} != ({c},)")
     segments(bounds, t)  # validates bounds
     pad = (p_taps - 1) // 2 * dilation
-    xp = np.zeros((c, t + 2 * pad))
-    xp[:, pad : pad + t] = x
-    y = np.tile(bias[:, None], (1, t))
+    y = np.full((c, t), bias[:, None])
+    tap = np.empty((c, t))
     for p in range(p_taps):
-        tap = kernel[:, p : p + 1] * xp[:, p * dilation : p * dilation + t]
-        for cols in _crossing(bounds, p * dilation - pad, t):
+        off = p * dilation - pad  # output column j reads input column j + off
+        lo = min(max(-off, 0), t)
+        hi = max(min(t - off, t), lo)
+        k = kernel[:, p : p + 1]
+        np.multiply(k, x[:, lo + off : hi + off], out=tap[:, lo:hi])
+        tap[:, :lo] = tap[:, hi:] = k * 0.0  # the zero padding beyond either end
+        for cols in _crossing(bounds, off, t):
             tap[:, cols] = 0.0
         y += tap
     return y
@@ -214,7 +223,9 @@ def prelu(x: Array, slope: Array) -> Array:
     """Per-channel leaky rectifier: y = x for x >= 0 else slope[c] * x."""
     if slope.shape != (x.shape[0],):
         raise ValueError(f"slope shape {slope.shape} != ({x.shape[0]},)")
-    return np.where(x >= 0, x, slope[:, None] * x)
+    y = np.where(x >= 0, 1.0, slope[:, None])
+    y *= x  # 1.0 * x is x exactly, signed zeros included
+    return y
 
 
 def prelu_backward(dy: Array, x: Array, slope: Array):
@@ -231,7 +242,8 @@ def batch_norm(
     the running ones when ``train``, else the running statistics.
 
     Returns ``(y, xhat, inv_std)``; after a train forward the last two are
-    what ``batch_norm_backward`` needs.
+    what ``batch_norm_backward`` needs.  An eval forward builds neither: it
+    normalizes ``x`` in place and returns ``(x, None, None)``.
     """
     if train:
         mean, var = x.mean(axis=1), x.var(axis=1)
@@ -244,7 +256,11 @@ def batch_norm(
             (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased
         )
     else:
-        mean, var = state.running_mean, state.running_var
+        y = np.subtract(x, state.running_mean[:, None], out=x)
+        y /= np.sqrt(state.running_var + BN_EPS)[:, None]
+        y *= gamma[:, None]
+        y += beta[:, None]
+        return y, None, None
     std = np.sqrt(var + BN_EPS)
     xhat = (x - mean[:, None]) / std[:, None]
     return gamma[:, None] * xhat + beta[:, None], xhat, 1.0 / std

@@ -8,7 +8,9 @@ they are the norm backward passes as written before the forward saved its
 statistics, recomputing mean, variance and x-hat from the input.  The
 finite-difference checker and the store helpers at the end are the test
 equipment every backward pass is checked with; ``run_cli`` runs the command
-line in a child process.
+line in a child process.  The ``old_*`` forwards are the numpy expressions
+the rewritten ops replaced, kept as the bit-level reference: the ops must
+match them exactly, signed zeros included.
 """
 
 import math
@@ -255,6 +257,55 @@ def ref_cascade_loss(masks, x, clean):
         per_stage.append(acc / (f_dim * t_dim))
         est = nxt
     return per_stage, sum(per_stage)
+
+
+def old_pointwise_conv(x, weight, bias):
+    return weight @ x + bias[:, None]
+
+
+def old_prelu(x, slope):
+    return np.where(x >= 0, x, slope[:, None] * x)
+
+
+def old_batch_norm_eval(x, gamma, beta, state):
+    """The eval ``batch_norm`` through x-hat; returns only y."""
+    std = np.sqrt(state.running_var + BN_EPS)
+    xhat = (x - state.running_mean[:, None]) / std[:, None]
+    return gamma[:, None] * xhat + beta[:, None]
+
+
+def old_depthwise_dconv(x, kernel, bias, dilation, bounds):
+    """``depthwise_dconv`` through a zero-padded copy of ``x``, a tiled bias
+    and one temporary per tap."""
+    c, t = x.shape
+    p_taps = kernel.shape[1]
+    pad = (p_taps - 1) // 2 * dilation
+    xp = np.zeros((c, t + 2 * pad))
+    xp[:, pad : pad + t] = x
+    y = np.tile(bias[:, None], (1, t))
+    for p in range(p_taps):
+        tap = kernel[:, p : p + 1] * xp[:, p * dilation : p * dilation + t]
+        off = p * dilation - pad  # a tap must not read across an item boundary
+        for b in bounds[1:-1]:
+            lo, hi = (b - off, b) if off > 0 else (b, b - off)
+            tap[:, max(lo, 0) : min(hi, t)] = 0.0
+        y += tap
+    return y
+
+
+def old_tcn_block_eval(x, block, bounds):
+    """An eval ``TCNBlock.forward`` composed from the ``old_*`` ops."""
+    def conv(layer, h):
+        return old_pointwise_conv(h, layer.weight.value, layer.bias.value)
+
+    def bn(layer, h):
+        return old_batch_norm_eval(h, layer.gamma.value, layer.beta.value, layer.state)
+
+    h = bn(block.bn1, old_prelu(conv(block.in_conv, x), block.prelu1.slope.value))
+    h = old_depthwise_dconv(h, block.dkernel.value, block.dbias.value,
+                            block.dilation, bounds)
+    h = bn(block.bn2, old_prelu(h, block.prelu2.slope.value))
+    return x + conv(block.out_conv, h)
 
 
 def randomize_params(store, rng, scale=0.3):

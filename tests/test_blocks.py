@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from stagemask.blocks import FusionBlock, SABlock, Stage, TCNBlock, receptive_field
+from stagemask.nn import f32_clean
 
 from reference import (
     build,
     finite_diff_check,
+    old_tcn_block_eval,
     randomize_params,
     ref_fusion,
     ref_sa_block,
@@ -197,6 +199,32 @@ class TestTCNBlock:
         expected = ref_tcn_block(x, block, mode)
         y, _ = block.forward(x, _one(x), train=mode == "train")
         np.testing.assert_allclose(y, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("dilation", [1, 128])
+    def test_eval_bit_identical_at_paper_width(self, dilation):
+        # compared in-process: paper-shape GEMM bits depend on the BLAS
+        # thread count, so no stored digest would hold on every machine
+        block, store = _tcn(128, 256, 3, dilation, seed=22)
+        rng = np.random.default_rng(23)
+        randomize_params(store, rng)
+        for bn in (block.bn1, block.bn2):
+            bn.state.running_mean[...] = f32_clean(rng.standard_normal(256))
+            bn.state.running_var[...] = f32_clean(rng.uniform(0.2, 3.0, size=256))
+        x = rng.standard_normal((128, 300))
+        before = x.copy()
+        bounds = (0, 100, 170, 300)
+        y = _eval(block, x, bounds)
+        np.testing.assert_array_equal(y, old_tcn_block_eval(x, block, bounds))
+        np.testing.assert_array_equal(x, before)
+
+    def test_train_output_aliases_no_cached_array(self):
+        block, store = _tcn(4, 6, 3, 2, seed=24)
+        randomize_params(store, np.random.default_rng(25))
+        x = np.random.default_rng(26).standard_normal((4, 9))
+        y, cache = block.forward(x, _one(x), train=True)
+        cached = [a for item in cache for a in (item if isinstance(item, list) else [item])]
+        assert len(cached) == 9
+        assert not any(np.shares_memory(y, a) for a in cached)
 
     def test_grad_full_block(self):
         block, store = _tcn(4, 6, 3, 2, seed=20)

@@ -451,6 +451,19 @@ class TestBadInput:
         }[case]
         self._exits_2(argv, call, where, tmp_path, capsys)
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_snr_exits_2_naming_the_option(self, snr, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        write_wav(wav, dsp.Waveform(0.1 * np.ones(20), 8000))
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["mix", "--clean", str(wav), "--noise", str(wav), f"--snr={snr}",
+                     "--out", str(tmp_path / "o.wav")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument --snr: must be finite, got {snr}\n")
+        assert sorted(tmp_path.iterdir()) == [wav]
+
 
 class TestUsage:
     def test_out_of_memory_exits_3(self, tmp_path, toy_config, monkeypatch, capsys):

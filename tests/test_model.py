@@ -112,6 +112,17 @@ class TestForward:
         t2 = model.forward_batch([x], train=False)
         assert np.array_equal(t1.estimates[-1], t2.estimates[-1])
 
+    def test_eval_forward_leaves_inputs_unchanged(self):
+        model = MultiStageModel(TOY)
+        rng = np.random.default_rng(8)
+        randomize_params(model.store, rng)
+        xs = [_toy_input(rng, t=t) for t in (6, 9)]
+        before = [x.copy() for x in xs]
+        for batch in (xs, xs[:1]):
+            model.forward_batch(batch, train=False)
+            for x, old in zip(xs, before):
+                np.testing.assert_array_equal(x, old)
+
     def test_rejects_negative_input(self):
         model = MultiStageModel(TOY)
         with pytest.raises(ValueError):

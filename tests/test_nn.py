@@ -4,7 +4,8 @@ import pytest
 from stagemask import nn
 
 from reference import (
-    finite_diff_check, ref_batch_norm_backward, ref_gln_backward, zero_grads,
+    finite_diff_check, old_batch_norm_eval, old_depthwise_dconv, old_pointwise_conv,
+    old_prelu, ref_batch_norm_backward, ref_gln_backward, zero_grads,
 )
 
 
@@ -401,6 +402,71 @@ class TestSoftmaxColumns:
             return float((c * y).sum()), dw
 
         assert finite_diff_check(fn, rng.standard_normal((5, 4))) < 1e-4
+
+
+def _with_extremes(rng, shape):
+    """Normal draws with signed zeros, signed subnormals and signed huge
+    values spread over every row and both ends of the time axis."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[::3] = np.resize([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300], flat[::3].size)
+    return x
+
+
+def _same_bits(new, old):
+    np.testing.assert_array_equal(new, old)
+    np.testing.assert_array_equal(np.signbit(new), np.signbit(old))
+
+
+class TestRewritesBitIdentical:
+    """Each rewritten forward against the expression it replaced; only the
+    eval batch norm writes into its input."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pointwise_conv(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _with_extremes(rng, (5, 16))
+        w = rng.uniform(-0.5, 0.5, size=(4, 5))
+        b = np.array([0.0, -0.0, 1.5, -2.0])
+        before = x.copy()
+        _same_bits(nn.pointwise_conv(x, w, b), old_pointwise_conv(x, w, b))
+        _same_bits(x, before)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_prelu(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _with_extremes(rng, (4, 16))
+        slope = np.array([0.25, -0.5, 0.0, rng.uniform(0.1, 0.5)])
+        before = x.copy()
+        _same_bits(nn.prelu(x, slope), old_prelu(x, slope))
+        _same_bits(x, before)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batch_norm_eval(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _with_extremes(rng, (4, 16))
+        state = nn.BatchNormState(rng.standard_normal(4), rng.uniform(0.5, 2.0, size=4))
+        state.running_mean[0] = 0.0
+        gamma = rng.uniform(0.5, 1.5, size=4)
+        beta = np.array([-0.0, 0.0, 1.0, -1.0])
+        work = x.copy()
+        y, xhat, inv_std = nn.batch_norm(work, gamma, beta, state, train=False)
+        assert y is work and xhat is None and inv_std is None  # in place
+        _same_bits(y, old_batch_norm_eval(x, gamma, beta, state))
+
+    @pytest.mark.parametrize("taps", [3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 5, 20])  # 20 > T = 16
+    @pytest.mark.parametrize("bounds", [(0, 16), BOUNDS, (0, 1, 2, 16)])
+    def test_depthwise_dconv(self, taps, dilation, bounds):
+        rng = np.random.default_rng(dilation * taps)
+        x = _with_extremes(rng, (4, 16))
+        kernel = rng.standard_normal((4, taps))
+        kernel[0] = -0.0
+        bias = np.array([-0.0, 0.0, 0.5, -0.5])
+        before = x.copy()
+        _same_bits(nn.depthwise_dconv(x, kernel, bias, dilation, bounds),
+                   old_depthwise_dconv(x, kernel, bias, dilation, bounds))
+        _same_bits(x, before)
 
 
 def _two_branch_sigmoid(x):
