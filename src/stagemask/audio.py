@@ -31,7 +31,7 @@ def read_wav(path: str) -> Waveform:
     require_file(path)
     try:
         with wave.open(str(path), "rb") as fh:
-            channels, width, rate, n_frames, comp, _ = fh.getparams()
+            channels, width, rate, n_frames, _, _ = fh.getparams()
             # the file's size, not its header, bounds the read
             cap = os.path.getsize(path) // (channels * width)
             frames = fh.readframes(min(n_frames, cap))
@@ -39,8 +39,6 @@ def read_wav(path: str) -> Waveform:
         raise WavFormatError(f"{path}: malformed WAV container: {exc}") from exc
     except (EOFError, RuntimeError) as exc:  # RuntimeError: a chunk past the end
         raise WavFormatError(f"{path}: truncated WAV header") from exc
-    if comp != "NONE":
-        raise WavFormatError(f"{path}: compressed WAV ({comp}) not supported")
     if channels != 1:
         raise WavFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:

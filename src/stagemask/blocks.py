@@ -182,8 +182,6 @@ class TCNBlock:
 
     def __init__(self, store: ParamStore, name: str, width_in: int,
                  width_hidden: int, kernel: int, dilation: int):
-        if kernel % 2 == 0:
-            raise ValueError(f"kernel size must be odd, got {kernel}")
         self.dilation = dilation
         self.in_conv = Conv1x1(store, f"{name}.in_conv", width_in, width_hidden)
         self.prelu1 = PReLULayer(store, f"{name}.prelu1", width_hidden)
@@ -298,10 +296,6 @@ class FusionBlock:
         self.post_prelu2 = PReLULayer(store, f"{name}.post.prelu2", f)
 
     def forward(self, masked_orig: Array, prev_est: Array, bounds, *, train: bool):
-        if masked_orig.shape != prev_est.shape:
-            raise ValueError(
-                f"fusion inputs differ: {masked_orig.shape} vs {prev_est.shape}"
-            )
         ya, ca = self.branch_a.forward(masked_orig, bounds, train=train)
         yb, cb = self.branch_b.forward(prev_est, bounds, train=train)
         s = ya + yb

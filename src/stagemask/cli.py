@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="mix clean speech with noise at a target SNR")
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
-    p.add_argument("--snr", type=finite, required=True)
+    p.add_argument("--snr", type=finite, required=True,
+                   help="target SNR in dB, finite; may be negative (--snr -1e3)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mix)
 
@@ -218,8 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_snr(argv: list[str]) -> list[str]:
+    """``--snr VALUE`` joined into ``--snr=VALUE`` when VALUE starts with a
+    single ``-``: argparse reads ``-1e3`` or ``-inf`` as an option, not a value."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] == "--snr"
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"--snr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_bind_snr(argv))
     try:
         return args.func(args)
     except InputError as exc:

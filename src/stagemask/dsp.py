@@ -100,7 +100,7 @@ class AnalysisWindow:
     def __post_init__(self):
         w = np.asarray(self.coefficients, dtype=np.float64)
         if w.ndim != 1 or w.shape[0] < 2:
-            raise ValueError("window needs at least 2 coefficients")
+            raise ValueError("window needs at least 2 coefficients in 1-D")
         if not np.all(np.isfinite(w)):
             raise ValueError("window contains non-finite coefficients")
         if w.min() < 0.0 or w.max() > 1.0:

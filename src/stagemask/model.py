@@ -182,8 +182,6 @@ class MultiStageModel:
     def forward_batch(self, xs: list[Array], *, train: bool) -> BatchTrace:
         """Run all stages once over the packed mini-batch; ``train`` selects
         batch statistics and keeps the caches ``backward_batch`` needs."""
-        if not xs:
-            raise ValueError("empty batch")
         xs = [self._check_input(x) for x in xs]
         x = np.concatenate(xs, axis=1)
         bounds = (0, *itertools.accumulate(item.shape[1] for item in xs))

@@ -87,8 +87,6 @@ class ParamStore:
             value[...] = rng.uniform(-a, a, size=value.shape).astype(np.float32)
 
     def register_buffer(self, name: str, value: Array) -> Array:
-        if name in self._buffers:
-            raise ValueError(f"duplicate buffer name: {name}")
         buf = f32_clean(value)
         self._buffers[name] = buf
         return buf
@@ -125,8 +123,6 @@ class BatchNormState:
 
 def pointwise_conv(x: Array, weight: Array, bias: Array) -> Array:
     """1x1 convolution over channels: y[c,t] = sum_i weight[c,i] x[i,t] + bias[c]."""
-    if x.ndim != 2 or weight.ndim != 2 or weight.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: weight {weight.shape} @ x {x.shape}")
     if bias.shape != (weight.shape[0],):
         raise ValueError(f"bias shape {bias.shape} != ({weight.shape[0]},)")
     y = weight @ x
@@ -166,21 +162,16 @@ def depthwise_dconv(
 ) -> Array:
     """Per-channel dilated convolution, zero-padded so output length equals T.
 
-    Non-causal: tap p looks at offset (p - (P-1)/2) * dilation.  ``bounds``
-    (0, T_1, T_1 + T_2, ..., sum T) splits packed items; a tap never reads
-    across them, exactly as if each item were padded on its own.
+    Non-causal: tap p looks at offset (p - (P-1)/2) * dilation, for an odd
+    tap count P and dilation >= 1 (``ModelConfig`` makes both so).
+    ``bounds`` (0, T_1, T_1 + T_2, ..., sum T) splits packed items; a tap
+    never reads across them, exactly as if each item were padded on its own.
     """
     c, t = x.shape
-    if kernel.ndim != 2 or kernel.shape[0] != c:
-        raise ValueError(f"kernel shape {kernel.shape} does not match {c} channels")
-    p_taps = kernel.shape[1]
-    if p_taps % 2 == 0:
-        raise ValueError(f"kernel size must be odd, got {p_taps}")
-    if dilation < 1:
-        raise ValueError(f"dilation must be >= 1, got {dilation}")
-    if bias.shape != (c,):
-        raise ValueError(f"bias shape {bias.shape} != ({c},)")
+    if kernel.shape[0] != c or bias.shape != (c,):
+        raise ValueError(f"kernel {kernel.shape} and bias {bias.shape} need {c} rows")
     segments(bounds, t)  # validates bounds
+    p_taps = kernel.shape[1]
     pad = (p_taps - 1) // 2 * dilation
     y = np.full((c, t), bias[:, None])
     tap = np.empty((c, t))
@@ -329,8 +320,6 @@ def sigmoid_backward(dy: Array, y: Array) -> Array:
 
 
 def matmul(a: Array, b: Array) -> Array:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     return a @ b
 
 
@@ -339,9 +328,7 @@ def matmul_backward(dy: Array, a: Array, b: Array):
 
 
 def mean_abs_loss(a: Array, bt: Array) -> float:
-    """Mean absolute difference over all entries."""
-    if a.shape != bt.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {bt.shape}")
+    """Mean absolute difference over all entries of two equal-shaped arrays."""
     return float(np.abs(a - bt).mean())
 
 

@@ -2,11 +2,13 @@
 
 Each mini-batch runs as one packed forward/backward over its items'
 magnitudes (see ``model``), with gradients scaled by 1/batch, which makes the
-batch objective exactly the mean of per-item losses.  Each padded item is
-trimmed back to its own frame count before packing, so padding can never leak
-into losses or statistics.  Adam updates the store's flat parameter vector
-with a few whole-vector operations.  A bad checkpoint file raises
-``FormatError``, an ``InputError`` naming the file and the problem's offset.
+batch objective exactly the mean of per-item losses.  ``fit`` checks once,
+before the first step, that the dataset has one sample rate and equal-length
+pairs.  Each padded item is trimmed back to its own frame count before
+packing, so padding can never leak into losses or statistics.  Adam updates
+the store's flat parameter vector with a few whole-vector operations.  A bad
+checkpoint file raises ``FormatError``, an ``InputError`` naming the file and
+the problem's offset.
 """
 
 from __future__ import annotations
@@ -110,19 +112,8 @@ class PaddedBatch:
 
 
 def pad_batch(items: list[tuple[dsp.Waveform, dsp.Waveform]]) -> PaddedBatch:
-    """Zero-pad every (noisy, clean) pair to the longest utterance."""
-    if not items:
-        raise ValueError("cannot pad an empty batch")
-    rates = {noisy.sample_rate for noisy, _ in items} | {
-        clean.sample_rate for _, clean in items
-    }
-    if len(rates) != 1:
-        raise ValueError(f"mixed sample rates in batch: {sorted(rates)}")
-    for noisy, clean in items:
-        if len(noisy) != len(clean):
-            raise ValueError(
-                f"noisy/clean length mismatch: {len(noisy)} vs {len(clean)}"
-            )
+    """Zero-pad every (noisy, clean) pair to the longest utterance.  The
+    pairs share one sample rate and each pair one length (``fit`` checks)."""
     lengths = np.array([len(noisy) for noisy, _ in items], dtype=np.int64)
     max_len = int(lengths.max())
     noisy_arr = np.zeros((len(items), max_len))
@@ -183,10 +174,18 @@ def fit(
 
     The model with the best epoch-mean total loss seen so far is kept at
     ``checkpoint_path``; on divergence the last good file is preserved and
-    TrainingDivergedError is raised.
+    TrainingDivergedError is raised.  Before any step, every waveform must
+    share one sample rate and each pair one length.
     """
     if not dataset:
         raise ValueError("dataset is empty")
+    rates = sorted({wav.sample_rate for pair in dataset for wav in pair})
+    if len(rates) != 1:
+        raise ValueError(f"dataset mixes sample rates {rates}")
+    for i, (noisy, clean) in enumerate(dataset):
+        if len(noisy) != len(clean):
+            raise ValueError(f"dataset[{i}]: noisy/clean length mismatch: "
+                             f"{len(noisy)} vs {len(clean)}")
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(model.store)
     records: list[StepRecord] = []

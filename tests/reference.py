@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from stagemask.model import total_loss_batch
 from stagemask.nn import BN_EPS, GLN_EPS, ParamStore, f32_clean
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -359,6 +360,48 @@ def finite_diff_check(fn, point, h=1e-4):
     return float((np.abs(grad - numeric) / denom).max())
 
 
+def mean_total_loss(model, xs, cleans):
+    """The training objective: mean per-item total loss of a train forward."""
+    trace = model.forward_batch(xs, train=True)
+    return float(np.mean(total_loss_batch(trace, cleans)[1]))
+
+
+def relative_error(analytic, numeric):
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+
+
+def whole_model_fd(model, xs, cleans, rng, picks, include=()):
+    """Worst relative error of ``backward_batch``'s parameter gradients
+    against central differences of ``mean_total_loss``, at one random entry
+    of each of ``picks`` random parameters, then of each parameter named in
+    ``include``; returned with the packed input gradient.  The step is small
+    because deep compositions put rectifier kinks close together.  The
+    batch-norm running buffers that the train forwards move are restored."""
+    h = 2e-5
+    buffers = {name: b.copy() for name, b in model.store.buffers()}
+    zero_grads(model.store)
+    gx = model.backward_batch(model.forward_batch(xs, train=True), cleans)
+    params = dict(model.store.params())
+    names = list(params)
+    chosen = [names[i] for i in rng.choice(len(names), size=picks, replace=False)]
+    worst = 0.0
+    for name in chosen + list(include):
+        p = params[name]
+        flat = int(rng.integers(p.value.size))
+        analytic = p.grad.reshape(-1)[flat]
+        orig = p.value.copy()
+        p.value.reshape(-1)[flat] += h
+        up = mean_total_loss(model, xs, cleans)
+        p.value[...] = orig
+        p.value.reshape(-1)[flat] -= h
+        down = mean_total_loss(model, xs, cleans)
+        p.value[...] = orig
+        worst = max(worst, relative_error(analytic, (up - down) / (2 * h)))
+    for name, b in model.store.buffers():
+        b[...] = buffers[name]
+    return worst, gx
+
+
 def zero_grads(store):
     """Clear every parameter gradient of ``store``."""
     store.grads[...] = 0.0
@@ -379,15 +422,26 @@ def build(make, rng):
     return made, store
 
 
-def run_cli(*args):
-    """``python -m stagemask ARGS`` in a child process that imports the
-    package from this checkout's ``src``."""
-    env = dict(os.environ)
+def _cli(args, env):
+    """Command line and environment of a ``python -m stagemask ARGS`` child
+    that imports the package from this checkout's ``src``."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "stagemask", *map(str, args)],
-        capture_output=True, text=True, env=env,
-    )
+    return [sys.executable, "-m", "stagemask", *map(str, args)], env
+
+
+def run_cli(*args):
+    """``python -m stagemask ARGS`` in a child process, waited for."""
+    argv, env = _cli(args, {})
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def start_cli(*args, **env):
+    """``python -m stagemask ARGS`` started in a child process with ``env``
+    added to its environment; ``communicate()`` collects its output."""
+    argv, env = _cli(args, env)
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
 
 
 def prefix_counts(model):

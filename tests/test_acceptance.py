@@ -2,6 +2,7 @@
 
 The training experiment (criteria 6, 7, 9) drives the command-line interface
 end to end; two full runs with identical seeds back the determinism check.
+Their two trainings run side by side, one BLAS thread each.
 """
 
 import warnings
@@ -12,11 +13,11 @@ import pytest
 from stagemask import dsp, nn
 from stagemask.audio import mix_at_snr
 from stagemask.blocks import SABlock, TCNBlock, receptive_field
-from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
+from stagemask.model import ModelConfig, MultiStageModel
 
 from reference import (
     build, finite_diff_check, margined_clean, prefix_counts, randomize_params, run_cli,
-    zero_grads,
+    start_cli, whole_model_fd,
 )
 
 TOY_CONFIG_TEXT = (
@@ -35,35 +36,54 @@ def parse_kv(text):
     return out
 
 
-@pytest.fixture(scope="session")
-def overfit(tmp_path_factory):
-    """Factory running the full synth/train/eval pipeline; results cached."""
-    cache = {}
+ONE_BLAS_THREAD = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
-    def run(tag):
-        if tag in cache:
-            return cache[tag]
-        root = tmp_path_factory.mktemp(f"overfit_{tag}")
-        data = root / "data"
-        assert run_cli("synth", "--n", 8, "--seed", 7, "--outdir", data).returncode == 0
-        config = root / "toy.conf"
-        config.write_text(TOY_CONFIG_TEXT)
-        ckpt = root / "model.ckpt"
-        train = run_cli("train", "--config", config,
-                        "--data", data / "manifest.tsv", "--out", ckpt)
-        assert train.returncode == 0, train.stderr
-        evaluation = run_cli("eval", "--ckpt", ckpt, "--manifest", data / "manifest.tsv")
+
+def _pipelines(tmp_path_factory):
+    """The full synth/train/eval pipeline twice, tagged "first" and "second";
+    the two trainings run side by side, one BLAS thread each."""
+    roots = {tag: tmp_path_factory.mktemp(f"overfit_{tag}")
+             for tag in ("first", "second")}
+    for root in roots.values():
+        assert run_cli("synth", "--n", 8, "--seed", 7,
+                       "--outdir", root / "data").returncode == 0
+        (root / "toy.conf").write_text(TOY_CONFIG_TEXT)
+    trains = [start_cli("train", "--config", root / "toy.conf",
+                        "--data", root / "data" / "manifest.tsv",
+                        "--out", root / "model.ckpt", **ONE_BLAS_THREAD)
+              for root in roots.values()]
+    try:
+        outputs = [train.communicate(timeout=900) for train in trains]
+    finally:
+        for train in trains:
+            train.kill()  # a no-op once it has exited
+    runs = {}
+    for (tag, root), train, (stdout, stderr) in zip(roots.items(), trains, outputs):
+        assert train.returncode == 0, stderr
+        evaluation = run_cli("eval", "--ckpt", root / "model.ckpt",
+                             "--manifest", root / "data" / "manifest.tsv")
         assert evaluation.returncode == 0, evaluation.stderr
-        totals = [float(line.split("\t")[-1])
-                  for line in train.stdout.splitlines() if line]
-        cache[tag] = {
-            "ckpt_bytes": ckpt.read_bytes(),
-            "train_stdout": train.stdout,
+        runs[tag] = {
+            "ckpt_bytes": (root / "model.ckpt").read_bytes(),
+            "train_stdout": stdout,
             "eval_stdout": evaluation.stdout,
-            "totals": totals,
+            "totals": [float(line.split("\t")[-1])
+                       for line in stdout.splitlines() if line],
             "kv": parse_kv(evaluation.stdout),
         }
-        return cache[tag]
+    return runs
+
+
+@pytest.fixture(scope="session")
+def overfit(tmp_path_factory):
+    """Pipeline results by tag; the first request runs both tags' pipelines."""
+    runs = {}
+
+    def run(tag):
+        if not runs:
+            runs.update(_pipelines(tmp_path_factory))
+        return runs[tag]
 
     return run
 
@@ -226,28 +246,7 @@ def test_criterion_4_gradient_correctness():
     randomize_params(model.store, rng)
     x = np.abs(rng.standard_normal((9, 6)))
     clean = margined_clean(model, x, rng)
-    zero_grads(model.store)
-    trace = model.forward_batch([x], train=True)
-    model.backward_batch(trace, [clean])
-    grads = {name: p.grad.copy() for name, p in model.store.params()}
-    names = [name for name, _ in model.store.params()]
-    # small step: deep compositions put rectifier kinks close together
-    h = 2e-5
-    e2e_worst = 0.0
-    for idx in rng.choice(len(names), size=20, replace=False):
-        p = dict(model.store.params())[names[idx]]
-        flat = int(rng.integers(p.value.size))
-        orig = p.value.copy()
-        p.value.reshape(-1)[flat] += h
-        up = total_loss_batch(model.forward_batch([x], train=True), [clean])[1][0]
-        p.value[...] = orig
-        p.value.reshape(-1)[flat] -= h
-        down = total_loss_batch(model.forward_batch([x], train=True), [clean])[1][0]
-        p.value[...] = orig
-        numeric = (up - down) / (2 * h)
-        analytic = grads[names[idx]].reshape(-1)[flat]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        e2e_worst = max(e2e_worst, rel)
+    e2e_worst, _ = whole_model_fd(model, [x], [clean], rng, picks=20)
     assert e2e_worst < 1e-3
     summary = ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
     print(f"criterion 4: PASS — ops: {summary}; end-to-end {e2e_worst:.1e}")

@@ -5,7 +5,7 @@ import wave
 import numpy as np
 import pytest
 
-from stagemask import cli, dsp
+from stagemask import InputError, cli, dsp
 from stagemask.audio import (
     WavFormatError,
     mix_at_snr,
@@ -205,6 +205,12 @@ class TestMixAtSnr:
         other = dsp.Waveform(noise.samples, 16000)
         with pytest.raises(ValueError):
             mix_at_snr(clean, other, 0.0)
+
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_rejected(self, snr):
+        clean, noise = self._signals()
+        with pytest.raises(InputError, match="snr_db must be finite"):
+            mix_at_snr(clean, noise, snr)
 
 
 class TestSynthToyDataset:

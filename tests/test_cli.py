@@ -79,6 +79,16 @@ class TestInfo:
         assert result.returncode == 2
         assert "2" in result.stderr and "hiden" in result.stderr
 
+    @pytest.mark.parametrize("text, problem", [
+        ("stages = 2\nhidden = 6\nstages = 3\n", "3: duplicate key 'stages'"),
+        ("stages = 2\nhidden =\n", "2: empty value for 'hidden'"),
+    ], ids=["duplicate-key", "empty-value"])
+    def test_bad_line_exits_2_naming_it(self, text, problem, tmp_path, capsys):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(text)
+        assert cli.run(["info", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:{problem}\n")
+
     def test_bad_value_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("stages = many\n")
@@ -154,6 +164,16 @@ class TestMix:
         snr = 10 * np.log10(np.mean(clean.samples ** 2) / np.mean(noise ** 2))
         # PCM16 quantization perturbs the written mixture slightly
         assert abs(snr) < 0.01
+
+    @pytest.mark.parametrize("snr", ["-1e3", "-5"])
+    def test_negative_snr_may_follow_the_option(self, snr, tmp_path):
+        # argparse alone reads "-1e3" after --snr as an option name
+        clean_path, noise_path = self._write_inputs(tmp_path)
+        outs = [tmp_path / "spaced.wav", tmp_path / "joined.wav"]
+        for out, snr_args in zip(outs, (["--snr", snr], [f"--snr={snr}"])):
+            assert cli.run(["mix", "--clean", str(clean_path), "--noise", str(noise_path),
+                            *snr_args, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_missing_input_exits_2_no_output(self, tmp_path):
         out = tmp_path / "noisy.wav"
@@ -463,6 +483,32 @@ class TestBadInput:
         assert out == ""
         assert err.endswith(f"error: argument --snr: must be finite, got {snr}\n")
         assert sorted(tmp_path.iterdir()) == [wav]
+
+    def test_non_finite_snr_after_the_option_exits_2(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        write_wav(wav, dsp.Waveform(0.1 * np.ones(20), 8000))
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["mix", "--clean", str(wav), "--noise", str(wav), "--snr", "-inf",
+                     "--out", str(tmp_path / "o.wav")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --snr: must be finite, got -inf\n")
+        assert sorted(tmp_path.iterdir()) == [wav]
+
+    @pytest.mark.parametrize("missing, problem", [
+        ("--data", "no training manifest (pass --data or set train_manifest)"),
+        ("--out", "no checkpoint path (pass --out or set checkpoint)"),
+    ], ids=["manifest", "checkpoint"])
+    def test_train_without_a_path_exits_2(self, missing, problem, tmp_path, toy_config,
+                                          capsys):
+        paths = {"--data": tmp_path / "manifest.tsv", "--out": tmp_path / "m.ckpt"}
+        del paths[missing]
+        argv = ["train", "--config", str(toy_config)]
+        for option, path in paths.items():
+            argv += [option, str(path)]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+        assert sorted(tmp_path.iterdir()) == [toy_config]
 
 
 class TestUsage:

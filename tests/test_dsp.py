@@ -106,6 +106,11 @@ class TestStft:
         with pytest.raises(ValueError):
             dsp.stft(np.zeros(100), dsp.hann_window(128, 64))
 
+    def test_two_d_samples_rejected(self):
+        # a (1, n) array would otherwise be read as a 1-sample signal
+        with pytest.raises(ValueError, match="1-D"):
+            dsp.stft(np.zeros((1, 512)), dsp.hann_window(128, 64))
+
 
 class TestIstft:
     def test_round_trip_interior(self):
@@ -175,9 +180,30 @@ class TestTypes:
         missing = [name for name in stagemask.__all__ if not hasattr(stagemask, name)]
         assert missing == []
 
+    @pytest.mark.parametrize("samples, rate, problem", [
+        (np.zeros((2, 8)), 8000, "1-D"),
+        (np.zeros(8), 0, "sample_rate"),
+        (np.zeros(8), -8000, "sample_rate"),
+    ], ids=["two-d", "zero-rate", "negative-rate"])
+    def test_waveform_rejects_shape_and_rate(self, samples, rate, problem):
+        with pytest.raises(ValueError, match=problem):
+            dsp.Waveform(samples, rate)
+
     def test_window_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             dsp.AnalysisWindow(np.array([0.0, 0.5, 1.0, 0.2]), 2)
+
+    @pytest.mark.parametrize("coefficients, hop, problem", [
+        ([1.0], 1, "at least 2"),
+        ([[0.5, 0.5], [0.5, 0.5]], 1, "at least 2"),
+        ([0.5, np.nan, 0.5], 1, "non-finite"),
+        ([0.5, 1.5, 0.5], 1, r"\[0, 1\]"),
+        ([-0.5, 1.0, -0.5], 1, r"\[0, 1\]"),
+        ([0.5, 1.0, 0.5], 0, "hop"),
+    ], ids=["one-coefficient", "two-d", "nan", "above-one", "negative", "hop-0"])
+    def test_window_checks(self, coefficients, hop, problem):
+        with pytest.raises(ValueError, match=problem):
+            dsp.AnalysisWindow(np.array(coefficients), hop)
 
     def test_frame_count_formula(self):
         win = dsp.hann_window(512, 256)

@@ -84,6 +84,11 @@ class TestSnrDb:
         with pytest.raises(ValueError):
             snr_db(np.ones(8), np.zeros(8))
 
+    def test_length_mismatch_rejected(self):
+        # a (1,) reference would broadcast against the estimate
+        with pytest.raises(ValueError, match="length mismatch"):
+            snr_db(np.ones(8), np.ones(1))
+
 
 class TestEvaluateSet:
     def _model_and_pairs(self):

@@ -8,8 +8,8 @@ from stagemask import dsp
 from stagemask.model import ModelConfig, MultiStageModel, total_loss_batch
 
 from reference import (
-    constant_masks, margined_clean, prefix_counts, randomize_params, ref_cascade_loss,
-    zero_grads,
+    constant_masks, margined_clean, mean_total_loss, prefix_counts, randomize_params,
+    ref_cascade_loss, relative_error, whole_model_fd,
 )
 
 TOY = ModelConfig(
@@ -64,6 +64,16 @@ class TestBuild:
         for _, p in MultiStageModel(config).store.params():
             h.update(p.value.tobytes())
         assert h.hexdigest() == digest
+
+    def test_layout_must_fill_the_closed_form(self, monkeypatch):
+        # the store is sized by parameter_counts(); a closed form larger than
+        # the blocks' layout fails the build instead of leaving a value
+        # that no parameter owns
+        counts = TOY.parameter_counts()
+        monkeypatch.setattr(ModelConfig, "parameter_counts",
+                            lambda self: {**counts, "total": counts["total"] + 1})
+        with pytest.raises(ValueError, match="layout fills"):
+            MultiStageModel(TOY)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -127,6 +137,14 @@ class TestForward:
         model = MultiStageModel(TOY)
         with pytest.raises(ValueError):
             model.forward_batch([-np.ones((9, 4))], train=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        model = MultiStageModel(TOY)
+        x = np.ones((9, 4))
+        x[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            model.forward_batch([np.ones((9, 3)), x], train=False)
 
     def test_rejects_wrong_bin_count(self):
         model = MultiStageModel(TOY)
@@ -220,40 +238,7 @@ class TestGradients:
         randomize_params(model.store, rng)
         x = _toy_input(rng)
         clean = margined_clean(model, x, rng)
-
-        def loss_value():
-            trace = model.forward_batch([x], train=True)
-            return total_loss_batch(trace, [clean])[1][0]
-
-        def analytic_grads():
-            zero_grads(model.store)
-            trace = model.forward_batch([x], train=True)
-            model.backward_batch(trace, [clean])
-            return {name: p.grad.copy() for name, p in model.store.params()}
-
-        buffers_before = {n: b.copy() for n, b in model.store.buffers()}
-        grads = analytic_grads()
-        names = [name for name, _ in model.store.params()]
-        picks = rng.choice(len(names), size=20, replace=False)
-        # small step: deep compositions put rectifier kinks close together
-        h = 2e-5
-        worst = 0.0
-        for idx in picks:
-            p = dict(model.store.params())[names[idx]]
-            flat_idx = int(rng.integers(p.value.size))
-            orig = p.value.copy()
-            p.value.reshape(-1)[flat_idx] += h
-            up = loss_value()
-            p.value[...] = orig
-            p.value.reshape(-1)[flat_idx] -= h
-            down = loss_value()
-            p.value[...] = orig
-            numeric = (up - down) / (2 * h)
-            analytic = grads[names[idx]].reshape(-1)[flat_idx]
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-        for n, b in model.store.buffers():
-            b[...] = buffers_before[n]
+        worst, _ = whole_model_fd(model, [x], [clean], rng, picks=20)
         assert worst < 1e-3
 
     def test_backward_requires_train_trace(self):
@@ -270,35 +255,8 @@ class TestGradients:
         randomize_params(model.store, rng)
         xs = [_toy_input(rng, t=5), _toy_input(rng, t=7)]
         cleans = [margined_clean(model, x, rng) for x in xs]
-
-        def objective():
-            trace = model.forward_batch(xs, train=True)
-            return float(np.mean(total_loss_batch(trace, cleans)[1]))
-
-        zero_grads(model.store)
-        trace = model.forward_batch(xs, train=True)
-        model.backward_batch(trace, cleans)
-        grads = {name: p.grad.copy() for name, p in model.store.params()}
-        names = [name for name, _ in model.store.params()]
-        # small step: deep compositions put rectifier kinks close together
-        h = 2e-5
-        worst = 0.0
-        for idx in rng.choice(len(names), size=12, replace=False):
-            p = dict(model.store.params())[names[idx]]
-            flat = int(rng.integers(p.value.size))
-            orig = p.value.copy()
-            p.value.reshape(-1)[flat] += h
-            up = objective()
-            p.value[...] = orig
-            p.value.reshape(-1)[flat] -= h
-            down = objective()
-            p.value[...] = orig
-            numeric = (up - down) / (2 * h)
-            analytic = grads[names[idx]].reshape(-1)[flat]
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+        worst, _ = whole_model_fd(model, xs, cleans, rng, picks=12)
         assert worst < 1e-3
-
 
     def test_packed_batch_gradient_three_items(self):
         # three unequal lengths: dilated taps, attention and global norms
@@ -309,48 +267,33 @@ class TestGradients:
         xs = [_toy_input(rng, t=t) for t in (5, 2, 8)]
         cleans = [margined_clean(model, x, rng) for x in xs]
         buffers = {n: b.copy() for n, b in model.store.buffers()}
-
-        def objective():
-            trace = model.forward_batch(xs, train=True)
-            return float(np.mean(total_loss_batch(trace, cleans)[1]))
-
-        zero_grads(model.store)
-        trace = model.forward_batch(xs, train=True)
-        gx = model.backward_batch(trace, cleans)
-        grads = {name: p.grad.copy() for name, p in model.store.params()}
-        names = [name for name, _ in model.store.params()]
+        worst, gx = whole_model_fd(model, xs, cleans, rng, picks=20)
         h = 2e-5
-        worst = 0.0
-        for idx in rng.choice(len(names), size=20, replace=False):
-            p = dict(model.store.params())[names[idx]]
-            flat = int(rng.integers(p.value.size))
-            orig = p.value.copy()
-            p.value.reshape(-1)[flat] += h
-            up = objective()
-            p.value[...] = orig
-            p.value.reshape(-1)[flat] -= h
-            down = objective()
-            p.value[...] = orig
-            numeric = (up - down) / (2 * h)
-            analytic = grads[names[idx]].reshape(-1)[flat]
-            worst = max(worst, abs(analytic - numeric)
-                        / max(abs(analytic), abs(numeric), 1e-8))
         # input gradient at the columns on either side of each item boundary
         # (packed bounds 0, 5, 7, 15)
         for item, local, col in ((0, 4, 4), (1, 0, 5), (1, 1, 6), (2, 0, 7)):
             row = int(rng.integers(9))
             bumped = [x.copy() for x in xs]
             bumped[item][row, local] += h
-            trace_up = model.forward_batch(bumped, train=True)
-            up = float(np.mean(total_loss_batch(trace_up, cleans)[1]))
+            up = mean_total_loss(model, bumped, cleans)
             bumped[item][row, local] -= 2 * h
-            trace_down = model.forward_batch(bumped, train=True)
-            down = float(np.mean(total_loss_batch(trace_down, cleans)[1]))
-            numeric = (up - down) / (2 * h)
-            worst = max(worst, abs(gx[row, col] - numeric)
-                        / max(abs(gx[row, col]), abs(numeric), 1e-8))
+            down = mean_total_loss(model, bumped, cleans)
+            worst = max(worst, relative_error(gx[row, col], (up - down) / (2 * h)))
         for n, b in model.store.buffers():
             b[...] = buffers[n]
+        assert worst < 1e-3
+
+    def test_four_stages_reach_every_fusion_block(self):
+        # a fusion block's backward must update its own parameters: the
+        # picks include parameters of both fusion blocks
+        model = MultiStageModel(replace(TOY, stages=4))
+        rng = np.random.default_rng(41)
+        randomize_params(model.store, rng)
+        xs = [_toy_input(rng, t=t) for t in (4, 3, 6)]
+        cleans = [margined_clean(model, x, rng) for x in xs]
+        include = ("fusion3.branch_a.conv.weight", "fusion3.post.prelu2.slope",
+                   "fusion4.branch_b.gln.gamma", "fusion4.post.conv1.weight")
+        worst, _ = whole_model_fd(model, xs, cleans, rng, picks=8, include=include)
         assert worst < 1e-3
 
 

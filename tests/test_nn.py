@@ -45,6 +45,11 @@ class TestPointwiseConv:
         with pytest.raises(ValueError):
             nn.pointwise_conv(np.ones((3, 5)), np.ones((2, 4)), np.zeros(2))
 
+    def test_bias_shape_checked(self):
+        # a (1,) bias would broadcast over every output channel
+        with pytest.raises(ValueError, match="bias shape"):
+            nn.pointwise_conv(np.ones((3, 5)), np.ones((2, 3)), np.zeros(1))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_grad_x(self, seed):
         rng = np.random.default_rng(seed)
@@ -99,9 +104,14 @@ class TestDepthwiseDconv:
         np.testing.assert_array_equal(y[0, 2:7], np.full(5, 3.0))
         assert y[0, 0] == 2.0
 
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            nn.depthwise_dconv(np.ones((2, 8)), np.ones((2, 4)), np.zeros(2), 1, (0, 8))
+    @pytest.mark.parametrize("kernel, bias", [
+        ((1, 3), (2,)), ((2, 3), (1,)),
+    ], ids=["kernel", "bias"])
+    def test_parameter_rows_checked(self, kernel, bias):
+        # one row of taps or bias would broadcast over both channels
+        with pytest.raises(ValueError, match="need 2 rows"):
+            nn.depthwise_dconv(np.ones((2, 8)), np.ones(kernel), np.zeros(bias), 1,
+                               (0, 8))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_grad(self, seed):
@@ -180,6 +190,11 @@ class TestPrelu:
         y = nn.prelu(np.array([[-2.0]]), np.array([0.25]))
         assert y[0, 0] == -0.5
 
+    def test_slope_shape_checked(self):
+        # a (1,) slope would broadcast over every channel
+        with pytest.raises(ValueError, match="slope shape"):
+            nn.prelu(-np.ones((2, 6)), np.array([0.25]))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_grad(self, seed):
         rng = np.random.default_rng(seed)
@@ -239,6 +254,14 @@ class TestBatchNorm:
         nn.batch_norm(x, np.ones(2), np.zeros(2), state, train=True)
         expected = 0.1 * x.mean(axis=1)
         np.testing.assert_allclose(state.running_mean, expected, atol=1e-7)
+
+    def test_running_variance_is_unbiased(self):
+        # the running variance takes the batch variance times T / (T - 1)
+        x = np.array([[0.0, 1.0, 2.0, 5.0], [1.0, -1.0, 1.0, -1.0]])
+        state = self._state(2)
+        nn.batch_norm(x, np.ones(2), np.zeros(2), state, train=True)
+        expected = 0.9 + 0.1 * x.var(axis=1) * 4 / 3
+        np.testing.assert_allclose(state.running_var, expected, rtol=1e-7)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_grad_train(self, seed):

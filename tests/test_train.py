@@ -82,6 +82,19 @@ class TestAdam:
         with pytest.raises(ValueError, match="layer.bad"):
             adam_step(store, AdamState(store), TrainConfig())
 
+    @pytest.mark.parametrize("factor, clipped", [(1 - 1e-9, True), (1 + 1e-9, False)],
+                             ids=["norm-just-above", "norm-just-below"])
+    def test_clips_only_above_clip_norm(self, factor, clipped):
+        g = np.array([3.0, -4.0])  # norm 5 exactly
+        store = nn.ParamStore(2)
+        p = store.constant("w", (2,), 0.0)
+        p.grad[...] = g
+        state = AdamState(store)
+        cfg = TrainConfig(clip_norm=5.0 * factor)
+        adam_step(store, state, cfg)
+        want = g * (cfg.clip_norm / 5.0) if clipped else g
+        np.testing.assert_allclose(state.m, (1 - cfg.beta1) * want, rtol=1e-12, atol=0)
+
     def test_gradients_zeroed_after_step(self):
         store = nn.ParamStore(3)
         p = store.constant("w", (3,), 1.0)
@@ -315,6 +328,68 @@ class TestFit:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             fit(MultiStageModel(TOY), [], TrainConfig(), str(tmp_path / "best.ckpt"))
+
+    @pytest.mark.parametrize("case, problem", [
+        ("rates", r"dataset mixes sample rates \[8000, 16000\]"),
+        ("lengths", r"dataset\[2\]: noisy/clean length mismatch: 1600 vs 1599"),
+    ], ids=["rates", "lengths"])
+    def test_dataset_checked_before_any_step(self, case, problem, tmp_path,
+                                             monkeypatch):
+        import stagemask.train as train_mod
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the dataset was checked")
+
+        pairs = _toy_pairs(n=3, seed=12)
+        noisy, clean = pairs[2]
+        pairs[2] = (noisy, dsp.Waveform(clean.samples, 16000) if case == "rates"
+                    else dsp.Waveform(clean.samples[:-1], clean.sample_rate))
+        monkeypatch.setattr(train_mod, "batch_losses_and_grads", no_step)
+        path = tmp_path / "best.ckpt"
+        with pytest.raises(ValueError, match=problem):
+            fit(MultiStageModel(TOY), pairs, TrainConfig(batch=1), str(path))
+        assert not path.exists()
+
+    def test_each_epoch_takes_the_next_permutation(self, tmp_path, monkeypatch):
+        import stagemask.train as train_mod
+
+        pairs = _toy_pairs(n=4, seed=13)
+        seen = []
+        real = train_mod.pad_batch
+
+        def spy(items):
+            seen.extend(next(i for i, pair in enumerate(pairs) if pair is item)
+                        for item in items)
+            return real(items)
+
+        monkeypatch.setattr(train_mod, "pad_batch", spy)
+        fit(MultiStageModel(TOY), pairs, TrainConfig(batch=3, epochs=3, seed=7),
+            str(tmp_path / "best.ckpt"))
+        rng = np.random.default_rng(7)
+        want = [int(i) for _ in range(3) for i in rng.permutation(4)]
+        assert want != [0, 1, 2, 3] * 3
+        assert seen == want
+
+    def test_non_improving_epoch_leaves_checkpoint_bytes(self, tmp_path, monkeypatch):
+        import stagemask.train as train_mod
+
+        path = tmp_path / "best.ckpt"
+        totals = iter([3.0, 1.0, 2.0, 0.5])  # one step per epoch; 2.0 is no best
+        at_start = []
+        real = train_mod.batch_losses_and_grads
+
+        def scripted(*args):
+            at_start.append(path.read_bytes() if path.exists() else None)
+            stage_means, _ = real(*args)
+            return stage_means, next(totals)
+
+        monkeypatch.setattr(train_mod, "batch_losses_and_grads", scripted)
+        fit(MultiStageModel(TOY), _toy_pairs(n=2, seed=14),
+            TrainConfig(batch=2, epochs=4, seed=1), str(path))
+        assert at_start[0] is None
+        assert at_start[2] != at_start[1]  # epoch 2 was a new best
+        assert at_start[3] == at_start[2]  # epoch 3 was not
+        assert path.read_bytes() != at_start[3]
 
     def test_divergence_stops_and_keeps_last_checkpoint(self, tmp_path, monkeypatch):
         import stagemask.train as train_mod
